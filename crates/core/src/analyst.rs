@@ -71,8 +71,9 @@ enum IndexState {
 ///
 /// With [`Analyst::with_indexes`], the analyst derives candidate
 /// encrypted-multimap indexes from its workload (one per predicate or join
-/// column, named `idx_{table}_{column}`), registers them lazily, and runs a
-/// leakage-aware [`Planner`] per pose: under
+/// column, named `idx_{table}_{column}`), registers them lazily, and keeps
+/// one leakage-aware [`Planner`] across poses, folding each pose's newly
+/// arrived rows into its statistics before planning: under
 /// [`LeakagePolicy::TranscriptOnly`] every read stays a full scan (and the
 /// adversary's view is byte-identical to an index-free run), while
 /// [`LeakagePolicy::AllowIndexedVolume`] lets selective reads pay the
@@ -82,7 +83,8 @@ pub struct Analyst {
     queries: Vec<NamedQuery>,
     use_views: bool,
     view_states: Vec<ViewState>,
-    index_policy: Option<LeakagePolicy>,
+    /// The planner of an index-planning analyst, kept across poses.
+    planner: Option<Planner>,
     index_states: Vec<(IndexDef, IndexState)>,
 }
 
@@ -93,7 +95,7 @@ impl Analyst {
             queries,
             use_views: false,
             view_states: Vec::new(),
-            index_policy: None,
+            planner: None,
             index_states: Vec::new(),
         }
     }
@@ -106,7 +108,7 @@ impl Analyst {
             queries,
             use_views: true,
             view_states,
-            index_policy: None,
+            planner: None,
             index_states: Vec::new(),
         }
     }
@@ -122,7 +124,7 @@ impl Analyst {
             queries,
             use_views: false,
             view_states: Vec::new(),
-            index_policy: Some(policy),
+            planner: Some(Planner::new(policy, Statistics::new())),
             index_states,
         }
     }
@@ -139,7 +141,7 @@ impl Analyst {
 
     /// The leakage policy of an index-planning analyst, if any.
     pub fn index_policy(&self) -> Option<LeakagePolicy> {
-        self.index_policy
+        self.planner.as_ref().map(Planner::policy)
     }
 
     /// Poses every supported query against `edb`, comparing each answer with
@@ -159,7 +161,7 @@ impl Analyst {
         logical: &PlainDatabase,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<QuerySample>, EdbError> {
-        let plan_context = self.refresh_index_plan(edb, logical)?;
+        let registered = self.refresh_index_plan(edb, logical)?;
         let mut samples = Vec::with_capacity(self.queries.len());
         for index in 0..self.queries.len() {
             let named = &self.queries[index];
@@ -173,8 +175,8 @@ impl Analyst {
             let truth = logical.execute(&named.query)?;
             let outcome = if self.use_views && self.view_states[index] == ViewState::Registered {
                 edb.query_view(&named.label, rng)?
-            } else if let Some((planner, registered)) = plan_context.as_ref() {
-                pose_planned(edb, planner, registered, &named.query, rng)?
+            } else if let Some(planner) = &self.planner {
+                pose_planned(edb, planner, &registered, &named.query, rng)?
             } else {
                 edb.query(&named.query, rng)?
             };
@@ -196,42 +198,48 @@ impl Analyst {
     }
 
     /// Index-planning bookkeeping done once per pose: retries pending
-    /// registrations and rebuilds the planner's statistics from the
-    /// analyst's logical copy of the data.  `None` for non-index analysts.
+    /// registrations, folds the rows the analyst's logical copy gained since
+    /// the last pose into the planner's statistics, and returns the
+    /// registered indexes (none for non-index analysts).
     fn refresh_index_plan(
         &mut self,
         edb: &dyn SecureOutsourcedDatabase,
         logical: &PlainDatabase,
-    ) -> Result<Option<(Planner, Vec<IndexDef>)>, EdbError> {
-        let Some(policy) = self.index_policy else {
-            return Ok(None);
+    ) -> Result<Vec<IndexDef>, EdbError> {
+        let Some(planner) = self.planner.as_mut() else {
+            return Ok(Vec::new());
         };
         for (def, state) in &mut self.index_states {
             if *state == IndexState::Pending {
                 *state = register_workload_index(edb, def)?;
             }
         }
-        let mut stats = Statistics::new();
+        let stats = planner.stats_mut();
         let mut observed = BTreeSet::new();
         for named in &self.queries {
             for table in named.query.tables() {
-                if !observed.insert(table.to_string()) {
+                if !observed.insert(table) {
                     continue;
                 }
-                if let Some(plain) = logical.table(table) {
-                    if let Some(schema) = plain.schema() {
-                        stats.observe_table(table, schema, plain.rows());
-                    }
+                match logical
+                    .table(table)
+                    .and_then(|t| Some((t.schema()?, t.rows())))
+                {
+                    Some((schema, rows)) => stats.observe_table(table, schema, rows),
+                    None => stats.forget_table(table),
                 }
             }
         }
-        let registered = self
-            .index_states
+        Ok(self.registered_indexes())
+    }
+
+    /// The workload indexes the engine has registered so far.
+    fn registered_indexes(&self) -> Vec<IndexDef> {
+        self.index_states
             .iter()
             .filter(|(_, state)| *state == IndexState::Registered)
             .map(|(def, _)| def.clone())
-            .collect();
-        Ok(Some((Planner::new(policy, stats), registered)))
+            .collect()
     }
 }
 
@@ -643,6 +651,81 @@ mod tests {
         assert!(
             view.queries().iter().any(|o| o.kind == "index"),
             "at least one read must go through the index under the permissive policy"
+        );
+    }
+
+    /// The planner kept across poses must plan every query exactly as one
+    /// rebuilt from the logical copy at that pose, with equal statistics
+    /// (row cursors included), while rows arrive at every pose and the
+    /// analyst is once posed against a shorter copy.
+    #[test]
+    fn kept_planner_matches_a_rebuilt_planner_at_every_pose() {
+        let master = MasterKey::from_bytes([10u8; 32]);
+        let mut cryptor = RecordCryptor::new(&master);
+        let engine = ObliDbEngine::new(&master);
+        engine.setup("yellow", schema(), vec![]).unwrap();
+        engine.setup("green", schema(), vec![]).unwrap();
+        let policy = LeakagePolicy::AllowIndexedVolume;
+        let mut planned = Analyst::with_indexes(analyst().queries().to_vec(), policy);
+        let mut rng = DpRng::seed_from_u64(41);
+        let mut db = logical(&[], &[]);
+        let mut plans = BTreeSet::new();
+        for pose in 0..24u64 {
+            // Pickup ids start inside Q1's [50, 100] range (the index would
+            // fetch everything: scan) and later spread out (index wins).
+            let yellow: Vec<Row> = (0..(pose * 7) % 5 + 1)
+                .map(|i| {
+                    let id = if pose < 8 {
+                        50 + i as i64
+                    } else {
+                        (pose * 40 + i) as i64
+                    };
+                    row(pose * 10 + i, id)
+                })
+                .collect();
+            let green: Vec<Row> = (0..pose % 3).map(|i| row(pose * 10 + i, 7)).collect();
+            for (table, rows) in [("yellow", &yellow), ("green", &green)] {
+                let batch = encrypt_batch(&mut cryptor, rows, 1);
+                engine.update(table, pose, batch).unwrap();
+                for r in rows {
+                    db.insert(table, r.clone());
+                }
+            }
+            // One pose against a shorter copy: the statistics start over.
+            let posed = if pose == 12 {
+                let short = db.table("yellow").unwrap().rows()[..3].to_vec();
+                logical(&short, &[])
+            } else {
+                db.clone()
+            };
+            planned
+                .pose_all(Timestamp(pose), &engine, &posed, &mut rng)
+                .unwrap();
+
+            let mut rebuilt = Statistics::new();
+            for table in ["yellow", "green"] {
+                let plain = posed.table(table).unwrap();
+                rebuilt.observe_table(table, plain.schema().unwrap(), plain.rows());
+            }
+            let kept = planned.planner.as_mut().unwrap();
+            assert_eq!(kept.stats_mut(), &rebuilt, "statistics at pose {pose}");
+            let rebuilt = Planner::new(policy, rebuilt);
+            let registered = planned.registered_indexes();
+            let kept = planned.planner.as_ref().unwrap();
+            for named in planned.queries() {
+                let plan = kept.plan(&named.query, &registered, &engine.cost_model());
+                assert_eq!(
+                    plan,
+                    rebuilt.plan(&named.query, &registered, &engine.cost_model()),
+                    "{} at pose {pose}",
+                    named.label
+                );
+                plans.insert(format!("{}: {:?}", named.label, plan.plan));
+            }
+        }
+        assert!(
+            plans.contains("Q1: FullScan") && plans.iter().any(|p| p.starts_with("Q1: Index")),
+            "Q1's plan must change as the statistics move: {plans:?}"
         );
     }
 

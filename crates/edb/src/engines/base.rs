@@ -257,7 +257,7 @@ impl EngineCore {
                     let mirror =
                         Row::new(rewrite::values_with_dummy_flag(row.into_values(), false));
                     for view in entry.views.values_mut() {
-                        view.apply_row(&entry.schema, &mirror);
+                        view.apply_row(&mirror);
                     }
                     for index in entry.indexes.values_mut() {
                         index.apply_row(&mirror, position);
@@ -300,7 +300,7 @@ impl EngineCore {
         let entry = &mut *guard;
         let mut view = MaterializedView::new(def.clone(), &entry.schema)?;
         for row in &entry.rows {
-            view.apply_mirror_row(&entry.schema, row, entry.flag_column);
+            view.apply_mirror_row(row, entry.flag_column);
         }
         entry.views.insert(def.name().to_string(), view);
         index.insert(def.name().to_string(), def.table().to_string());
@@ -422,10 +422,7 @@ impl EngineCore {
             .get(name)
             .ok_or_else(|| EdbError::UnknownIndex(name.to_string()))?;
         let positions = index.lookup(predicate)?;
-        let candidates: Vec<Row> = positions
-            .iter()
-            .map(|&p| entry.rows[p as usize].clone())
-            .collect();
+        let candidates: Vec<&Row> = positions.iter().map(|&p| &entry.rows[p as usize]).collect();
         let rewritten = rewrite::rewrite_query(query);
         let answer = exec::execute(&rewritten, |n| {
             (n == owner).then(|| (Some(&entry.schema), candidates.as_slice()))
@@ -563,20 +560,19 @@ impl EngineCore {
             .map(|name| guards.get(*name).map_or(0, |t| t.rows.len() as u64))
             .sum();
         // Joins: the AST rewrite is the identity, so filter dummies by
-        // materializing dummy-free sides here.  Schemas are *borrowed* from
-        // the guards for the duration of execution — the per-query
-        // `schema.clone()` this used to do was pure churn.
+        // selecting each side's real rows here — by reference, like the
+        // schemas, which are borrowed from the guards for the duration of
+        // execution.
         let answer = match &*rewritten {
             Query::JoinCount { .. } => {
-                let filtered: BTreeMap<&str, Vec<Row>> = guards
+                let filtered: BTreeMap<&str, Vec<&Row>> = guards
                     .iter()
                     .map(|(name, t)| {
                         let rows = t
                             .rows
                             .iter()
                             .filter(|r| r.value(t.flag_column) == Some(&Value::Bool(false)))
-                            .cloned()
-                            .collect::<Vec<_>>();
+                            .collect();
                         (*name, rows)
                     })
                     .collect();

@@ -14,6 +14,7 @@
 use crate::query::{Predicate, Query, QueryAnswer};
 use crate::row::Row;
 use crate::schema::{GroupKey, Schema, Value};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Errors raised while executing a query.
@@ -43,31 +44,68 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Evaluates a predicate against a row.
+/// A predicate with every column name resolved to its position in one
+/// schema.
 ///
-/// Unknown columns and non-numeric comparisons evaluate to `false`, matching
-/// SQL's three-valued logic collapsed to a boolean filter.
-pub fn eval_predicate(predicate: &Predicate, schema: &Schema, row: &Row) -> bool {
-    match predicate {
-        Predicate::True => true,
-        Predicate::Eq(column, expected) => row.value_by_name(schema, column) == Some(expected),
-        Predicate::Between(column, lo, hi) => {
-            numeric(row, schema, column).is_some_and(|v| v >= *lo && v <= *hi)
-        }
-        Predicate::LessThan(column, bound) => {
-            numeric(row, schema, column).is_some_and(|v| v < *bound)
-        }
-        Predicate::GreaterThan(column, bound) => {
-            numeric(row, schema, column).is_some_and(|v| v > *bound)
-        }
-        Predicate::And(a, b) => eval_predicate(a, schema, row) && eval_predicate(b, schema, row),
-        Predicate::Or(a, b) => eval_predicate(a, schema, row) || eval_predicate(b, schema, row),
-        Predicate::Not(inner) => !eval_predicate(inner, schema, row),
-    }
+/// The executor resolves a query's predicate once and a materialized view
+/// resolves its predicate once at registration, so evaluating a row is a
+/// walk over positions with no per-row name search.  An unknown column
+/// resolves to a leaf that never matches, and comparisons against NULL or
+/// non-numeric values are `false` — SQL's three-valued logic collapsed to a
+/// boolean filter (so `NOT` over an unknown column matches every row).
+#[derive(Debug, Clone)]
+pub(crate) enum ResolvedPredicate {
+    True,
+    /// A leaf over a column the schema does not have.
+    Never,
+    Eq(usize, Value),
+    Between(usize, f64, f64),
+    LessThan(usize, f64),
+    GreaterThan(usize, f64),
+    And(Box<ResolvedPredicate>, Box<ResolvedPredicate>),
+    Or(Box<ResolvedPredicate>, Box<ResolvedPredicate>),
+    Not(Box<ResolvedPredicate>),
 }
 
-fn numeric(row: &Row, schema: &Schema, column: &str) -> Option<f64> {
-    row.value_by_name(schema, column).and_then(Value::as_f64)
+impl ResolvedPredicate {
+    /// Resolves `predicate` against `schema`.
+    pub(crate) fn new(predicate: &Predicate, schema: &Schema) -> Self {
+        let at = |column: &str| schema.column_index(column);
+        let node = |p: &Predicate| Box::new(Self::new(p, schema));
+        match predicate {
+            Predicate::True => Self::True,
+            Predicate::Eq(c, v) => at(c).map_or(Self::Never, |i| Self::Eq(i, v.clone())),
+            Predicate::Between(c, lo, hi) => {
+                at(c).map_or(Self::Never, |i| Self::Between(i, *lo, *hi))
+            }
+            Predicate::LessThan(c, b) => at(c).map_or(Self::Never, |i| Self::LessThan(i, *b)),
+            Predicate::GreaterThan(c, b) => at(c).map_or(Self::Never, |i| Self::GreaterThan(i, *b)),
+            Predicate::And(a, b) => Self::And(node(a), node(b)),
+            Predicate::Or(a, b) => Self::Or(node(a), node(b)),
+            Predicate::Not(inner) => Self::Not(node(inner)),
+        }
+    }
+
+    /// Resolves an optional filter; no filter matches every row.
+    pub(crate) fn filter(predicate: Option<&Predicate>, schema: &Schema) -> Self {
+        predicate.map_or(Self::True, |p| Self::new(p, schema))
+    }
+
+    /// Whether `row` satisfies the predicate.
+    pub(crate) fn matches(&self, row: &Row) -> bool {
+        let numeric = |i: &usize| row.value(*i).and_then(Value::as_f64);
+        match self {
+            Self::True => true,
+            Self::Never => false,
+            Self::Eq(i, expected) => row.value(*i) == Some(expected),
+            Self::Between(i, lo, hi) => numeric(i).is_some_and(|v| v >= *lo && v <= *hi),
+            Self::LessThan(i, bound) => numeric(i).is_some_and(|v| v < *bound),
+            Self::GreaterThan(i, bound) => numeric(i).is_some_and(|v| v > *bound),
+            Self::And(a, b) => a.matches(row) && b.matches(row),
+            Self::Or(a, b) => a.matches(row) || b.matches(row),
+            Self::Not(inner) => !inner.matches(row),
+        }
+    }
 }
 
 /// A plaintext table: schema plus rows.
@@ -139,8 +177,14 @@ impl PlainDatabase {
 
     /// Inserts a row into the named table, creating the table schemalessly if
     /// it does not exist (used by engines that defer schema registration).
+    ///
+    /// Called once per logical row by the simulation drivers, so an existing
+    /// table is found without allocating its name.
     pub fn insert(&mut self, table: &str, row: Row) {
-        self.tables.entry(table.to_string()).or_default().push(row);
+        match self.tables.get_mut(table) {
+            Some(t) => t.push(row),
+            None => self.tables.entry(table.to_string()).or_default().push(row),
+        }
     }
 
     /// Returns the named table.
@@ -167,28 +211,43 @@ impl PlainDatabase {
 ///
 /// `lookup` returns the (optional) schema and row slice for a table name, or
 /// `None` when the table does not exist.  Engines use this entry point so
-/// they can resolve tables from their own storage structures.  Schemas are
-/// borrowed, not cloned — execution is on the per-query hot path and must
-/// not copy column metadata for every table it touches.
-pub fn execute<'a, F>(query: &Query, lookup: F) -> Result<QueryAnswer, ExecError>
+/// they can resolve tables from their own storage structures.
+///
+/// Nothing is copied on this per-query hot path: schemas are borrowed, and
+/// rows may be borrowed too (`R` is `Row` for a stored slice, `&Row` for a
+/// selection of stored rows such as index candidates or a join side with
+/// its dummies filtered out).  Each predicate and column is resolved to a
+/// position once per query, before the first row is read.
+pub fn execute<'a, R, F>(query: &Query, lookup: F) -> Result<QueryAnswer, ExecError>
 where
-    F: Fn(&str) -> Option<(Option<&'a Schema>, &'a [Row])>,
+    R: Borrow<Row> + 'a,
+    F: Fn(&str) -> Option<(Option<&'a Schema>, &'a [R])>,
 {
-    let resolve = |name: &str| -> Result<(Option<&'a Schema>, &'a [Row]), ExecError> {
+    let resolve = |name: &str| -> Result<(Option<&'a Schema>, &'a [R]), ExecError> {
         lookup(name).ok_or_else(|| ExecError::UnknownTable(name.to_string()))
+    };
+    let unknown = |table: &str, column: &str| ExecError::UnknownColumn {
+        table: table.to_string(),
+        column: column.to_string(),
+    };
+    let column = |table: &str, schema: &Schema, column: &str| {
+        schema
+            .column_index(column)
+            .ok_or_else(|| unknown(table, column))
     };
 
     match query {
         Query::Count { table, predicate } => {
             let (schema, rows) = resolve(table)?;
-            let schema = schema_or_err(table, schema, predicate.as_ref())?;
+            let filter = match (schema_or_err(table, schema, predicate.as_ref())?, predicate) {
+                (Some(s), p) => ResolvedPredicate::filter(p.as_ref(), s),
+                (None, None) => ResolvedPredicate::True,
+                (None, Some(_)) => ResolvedPredicate::Never,
+            };
             let count = rows
                 .iter()
-                .filter(|row| match (&schema, predicate) {
-                    (_, None) => true,
-                    (Some(s), Some(p)) => eval_predicate(p, s, row),
-                    (None, Some(_)) => false,
-                })
+                .map(Borrow::borrow)
+                .filter(|row| filter.matches(row))
                 .count();
             Ok(QueryAnswer::Scalar(count as f64))
         }
@@ -198,28 +257,18 @@ where
             predicate,
         } => {
             let (schema, rows) = resolve(table)?;
-            let schema = schema_or_err(table, schema, predicate.as_ref())?.ok_or_else(|| {
-                ExecError::UnknownColumn {
-                    table: table.clone(),
-                    column: group_by.clone(),
-                }
-            })?;
-            let group_index =
-                schema
-                    .column_index(group_by)
-                    .ok_or_else(|| ExecError::UnknownColumn {
-                        table: table.clone(),
-                        column: group_by.clone(),
-                    })?;
+            let schema = schema_or_err(table, schema, predicate.as_ref())?
+                .ok_or_else(|| unknown(table, group_by))?;
+            let group_index = column(table, schema, group_by)?;
+            let filter = ResolvedPredicate::filter(predicate.as_ref(), schema);
             // Hot path: group keys are built by reference (no per-row `Value`
             // clone) and counts accumulate as exact `u64` in a hash map; the
             // ordered f64 answer map is built once at the end.
             let mut groups: HashMap<GroupKey, u64> = HashMap::new();
             for row in rows {
-                if let Some(p) = predicate {
-                    if !eval_predicate(p, schema, row) {
-                        continue;
-                    }
+                let row = row.borrow();
+                if !filter.matches(row) {
+                    continue;
                 }
                 let key = row
                     .value(group_index)
@@ -238,31 +287,14 @@ where
         } => {
             let (left_schema, left_rows) = resolve(left)?;
             let (right_schema, right_rows) = resolve(right)?;
-            let left_schema = left_schema.ok_or_else(|| ExecError::UnknownColumn {
-                table: left.clone(),
-                column: left_column.clone(),
-            })?;
-            let right_schema = right_schema.ok_or_else(|| ExecError::UnknownColumn {
-                table: right.clone(),
-                column: right_column.clone(),
-            })?;
-            let li =
-                left_schema
-                    .column_index(left_column)
-                    .ok_or_else(|| ExecError::UnknownColumn {
-                        table: left.clone(),
-                        column: left_column.clone(),
-                    })?;
-            let ri = right_schema.column_index(right_column).ok_or_else(|| {
-                ExecError::UnknownColumn {
-                    table: right.clone(),
-                    column: right_column.clone(),
-                }
-            })?;
+            let left_schema = left_schema.ok_or_else(|| unknown(left, left_column))?;
+            let right_schema = right_schema.ok_or_else(|| unknown(right, right_column))?;
+            let li = column(left, left_schema, left_column)?;
+            let ri = column(right, right_schema, right_column)?;
             // Hash join on the grouping key of the join value.
-            let mut build: BTreeMap<_, u64> = BTreeMap::new();
+            let mut build: HashMap<GroupKey, u64> = HashMap::new();
             for row in right_rows {
-                if let Some(v) = row.value(ri) {
+                if let Some(v) = row.borrow().value(ri) {
                     if !v.is_null() {
                         *build.entry(v.group_key()).or_insert(0) += 1;
                     }
@@ -270,7 +302,7 @@ where
             }
             let mut matches = 0u64;
             for row in left_rows {
-                if let Some(v) = row.value(li) {
+                if let Some(v) = row.borrow().value(li) {
                     if !v.is_null() {
                         if let Some(count) = build.get(&v.group_key()) {
                             matches += count;
@@ -286,34 +318,23 @@ where
             predicate,
         } => {
             let (schema, rows) = resolve(table)?;
-            let schema = schema.ok_or_else(|| ExecError::UnknownColumn {
-                table: table.clone(),
-                column: columns.first().cloned().unwrap_or_default(),
-            })?;
+            let schema =
+                schema.ok_or_else(|| unknown(table, columns.first().map_or("", String::as_str)))?;
             let indices: Vec<usize> = if columns.is_empty() {
                 (0..schema.arity()).collect()
             } else {
                 columns
                     .iter()
-                    .map(|c| {
-                        schema
-                            .column_index(c)
-                            .ok_or_else(|| ExecError::UnknownColumn {
-                                table: table.clone(),
-                                column: c.clone(),
-                            })
-                    })
+                    .map(|c| column(table, schema, c))
                     .collect::<Result<_, _>>()?
             };
-            let mut out = Vec::new();
-            for row in rows {
-                if let Some(p) = predicate {
-                    if !eval_predicate(p, schema, row) {
-                        continue;
-                    }
-                }
-                out.push(row.project(&indices).values().to_vec());
-            }
+            let filter = ResolvedPredicate::filter(predicate.as_ref(), schema);
+            let out = rows
+                .iter()
+                .map(Borrow::borrow)
+                .filter(|row| filter.matches(row))
+                .map(|row| row.project(&indices).values().to_vec())
+                .collect();
             Ok(QueryAnswer::Rows(out))
         }
     }
@@ -491,6 +512,7 @@ mod tests {
     fn predicate_logic_operators() {
         let schema = taxi_schema();
         let row = taxi_row(10, 60, 5);
+        let matches = |p: &Predicate| ResolvedPredicate::new(p, &schema).matches(&row);
         let p = Predicate::And(
             Box::new(Predicate::Between("pickup_id".into(), 50.0, 100.0)),
             Box::new(Predicate::Not(Box::new(Predicate::Eq(
@@ -498,19 +520,37 @@ mod tests {
                 Value::Int(99),
             )))),
         );
-        assert!(eval_predicate(&p, &schema, &row));
+        assert!(matches(&p));
         let p_or = Predicate::Or(
             Box::new(Predicate::LessThan("pickup_id".into(), 10.0)),
             Box::new(Predicate::GreaterThan("pick_time".into(), 5.0)),
         );
-        assert!(eval_predicate(&p_or, &schema, &row));
-        assert!(eval_predicate(&Predicate::True, &schema, &row));
-        // Unknown column is simply false, not an error at predicate level.
-        assert!(!eval_predicate(
-            &Predicate::Eq("ghost".into(), Value::Int(1)),
-            &schema,
-            &row
-        ));
+        assert!(matches(&p_or));
+        assert!(matches(&Predicate::True));
+        // Unknown column is simply false, not an error at predicate level,
+        // so its negation holds.
+        let ghost = Predicate::Eq("ghost".into(), Value::Int(1));
+        assert!(!matches(&ghost));
+        assert!(matches(&Predicate::Not(Box::new(ghost))));
+    }
+
+    #[test]
+    fn join_over_borrowed_rows_counts_duplicate_keys_on_both_sides() {
+        let schema = taxi_schema();
+        // A NULL join value (the last row of each side) matches nothing,
+        // not even another NULL.
+        let null = Row::new(vec![Value::Null; 5]);
+        let left: Vec<Row> = [5u64, 5, 5, 7, 8].map(|t| taxi_row(t, 1, 1)).into();
+        let right: Vec<Row> = [5u64, 5, 7, 7, 7, 9].map(|t| taxi_row(t, 2, 2)).into();
+        let left: Vec<&Row> = left.iter().chain([&null]).collect();
+        let right: Vec<&Row> = right.iter().chain([&null]).collect();
+        let answer = execute(&paper_queries::q3_join_count("a", "b"), |name| match name {
+            "a" => Some((Some(&schema), left.as_slice())),
+            "b" => Some((Some(&schema), right.as_slice())),
+            _ => None,
+        });
+        // t=5: 3 x 2, t=7: 1 x 3.
+        assert_eq!(answer, Ok(QueryAnswer::Scalar(9.0)));
     }
 
     #[test]
@@ -568,5 +608,122 @@ mod tests {
             predicate: None,
         };
         assert_eq!(db.execute(&q).unwrap(), QueryAnswer::Scalar(1.0));
+    }
+
+    /// The resolved evaluator against a name-resolving reference, on random
+    /// predicate trees over rows with unknown columns, NULLs, NaNs, text and
+    /// short rows.
+    mod resolved {
+        use super::*;
+        use proptest::prelude::*;
+
+        const COLUMNS: [&str; 4] = ["a", "b", "c", "ghost"];
+        const BOUNDS: [f64; 7] = [f64::NAN, -1.0, 0.0, 1.5, 2.0, 3.0, f64::INFINITY];
+
+        fn schema() -> Schema {
+            Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Float),
+                ("c", DataType::Timestamp),
+            ])
+        }
+
+        fn value(code: u64) -> Value {
+            match code % 8 {
+                0 => Value::Null,
+                1 => Value::Int(0),
+                2 => Value::Int(2),
+                3 => Value::Float(1.5),
+                4 => Value::Float(f64::NAN),
+                5 => Value::Timestamp(3),
+                6 => Value::Bool(true),
+                _ => Value::Text("x".into()),
+            }
+        }
+
+        /// Decodes a predicate tree of at most `depth` levels from a tape.
+        fn decode(tape: &mut impl Iterator<Item = u64>, depth: u32) -> Predicate {
+            let mut next = || tape.next().unwrap_or(0);
+            let op = next() % if depth == 0 { 5 } else { 8 };
+            let column = COLUMNS[(next() % 4) as usize].to_string();
+            let bound = |x: u64| BOUNDS[(x % 7) as usize];
+            match op {
+                0 => Predicate::True,
+                1 => Predicate::Eq(column, value(next())),
+                2 => Predicate::Between(column, bound(next()), bound(next())),
+                3 => Predicate::LessThan(column, bound(next())),
+                4 => Predicate::GreaterThan(column, bound(next())),
+                5 => Predicate::And(
+                    Box::new(decode(tape, depth - 1)),
+                    Box::new(decode(tape, depth - 1)),
+                ),
+                6 => Predicate::Or(
+                    Box::new(decode(tape, depth - 1)),
+                    Box::new(decode(tape, depth - 1)),
+                ),
+                _ => Predicate::Not(Box::new(decode(tape, depth - 1))),
+            }
+        }
+
+        /// Reference semantics: look every column up by name, per row.
+        fn reference(p: &Predicate, schema: &Schema, row: &Row) -> bool {
+            let value = |c: &str| schema.column_index(c).and_then(|i| row.value(i));
+            let numeric = |c: &str| value(c).and_then(Value::as_f64);
+            match p {
+                Predicate::True => true,
+                Predicate::Eq(c, v) => value(c) == Some(v),
+                Predicate::Between(c, lo, hi) => numeric(c).is_some_and(|v| v >= *lo && v <= *hi),
+                Predicate::LessThan(c, b) => numeric(c).is_some_and(|v| v < *b),
+                Predicate::GreaterThan(c, b) => numeric(c).is_some_and(|v| v > *b),
+                Predicate::And(a, b) => reference(a, schema, row) && reference(b, schema, row),
+                Predicate::Or(a, b) => reference(a, schema, row) || reference(b, schema, row),
+                Predicate::Not(inner) => !reference(inner, schema, row),
+            }
+        }
+
+        #[test]
+        fn not_over_a_missing_column_is_true() {
+            let row = Row::new(vec![Value::Int(1)]);
+            for column in ["ghost", "c"] {
+                // `c` is in the schema but past the end of this short row.
+                let p = Predicate::Not(Box::new(Predicate::LessThan(column.into(), 9.0)));
+                assert!(reference(&p, &schema(), &row));
+                assert!(ResolvedPredicate::new(&p, &schema()).matches(&row));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn resolved_evaluator_agrees_with_name_lookup(
+                tape in prop::collection::vec(any::<u64>(), 1..48),
+                cells in prop::collection::vec(prop::collection::vec(0u64..8, 0..=3), 1..12),
+            ) {
+                let schema = schema();
+                let predicate = decode(&mut tape.iter().copied(), 4);
+                let rows: Vec<Row> = cells
+                    .iter()
+                    .map(|codes| Row::new(codes.iter().map(|&c| value(c)).collect()))
+                    .collect();
+                let resolved = ResolvedPredicate::new(&predicate, &schema);
+                let mut expected = 0;
+                for row in &rows {
+                    let want = reference(&predicate, &schema, row);
+                    prop_assert_eq!(resolved.matches(row), want, "{:?} on {:?}", predicate, row);
+                    expected += usize::from(want);
+                }
+                // The executor resolves the same predicate once per query.
+                let borrowed: Vec<&Row> = rows.iter().collect();
+                let query = Query::Count {
+                    table: "t".into(),
+                    predicate: Some(predicate.clone()),
+                };
+                let answer = execute(&query, |name| {
+                    (name == "t").then_some((Some(&schema), borrowed.as_slice()))
+                });
+                prop_assert_eq!(answer, Ok(QueryAnswer::Scalar(expected as f64)));
+            }
+        }
     }
 }

@@ -26,7 +26,9 @@ use crate::cost::CostModel;
 use crate::emm::{index_condition, IndexCondition, IndexDef};
 use crate::leakage::PlanLeakage;
 use crate::query::Query;
-use std::collections::BTreeMap;
+use crate::row::Row;
+use crate::schema::{Schema, Value};
+use std::collections::{BTreeMap, HashSet};
 
 /// What extra leakage the analyst is willing to accept from query plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,6 +133,36 @@ impl ColumnStats {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Statistics {
     columns: BTreeMap<(String, String), ColumnStats>,
+    /// Running state behind [`Statistics::observe_table`], per table.
+    observed: BTreeMap<String, Observed>,
+}
+
+/// What [`Statistics::observe_table`] has folded in for one table.
+#[derive(Debug, Clone, PartialEq)]
+struct Observed {
+    /// The schema the rows were read under.
+    schema: Schema,
+    /// Rows folded in so far: the first `cursor` rows of the table.
+    cursor: usize,
+    /// Per column, in schema order.
+    columns: Vec<ColumnRun>,
+}
+
+/// The distinct integer images seen so far in one column, and their span.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ColumnRun {
+    distinct: HashSet<i64>,
+    span: Option<(i64, i64)>,
+}
+
+impl Observed {
+    fn new(schema: &Schema) -> Self {
+        Self {
+            schema: schema.clone(),
+            cursor: 0,
+            columns: vec![ColumnRun::default(); schema.arity()],
+        }
+    }
 }
 
 impl Statistics {
@@ -152,37 +184,51 @@ impl Statistics {
 
     /// Derives stats for every indexable column of `table` from plaintext
     /// rows (the analyst's logical copy of its own data).
-    pub fn observe_table(
-        &mut self,
-        table: &str,
-        schema: &crate::schema::Schema,
-        rows: &[crate::row::Row],
-    ) {
-        for (ci, col) in schema.columns().iter().enumerate() {
-            let mut distinct = std::collections::BTreeSet::new();
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            for row in rows {
-                if let Some(v) = row.value(ci).and_then(crate::schema::Value::as_i64) {
-                    distinct.insert(v);
-                    min = min.min(v);
-                    max = max.max(v);
+    ///
+    /// Incremental under an **append-only contract**: between two calls for
+    /// the same table, `rows` may only grow at its end, so each call folds
+    /// in just the rows appended since the last one — O(Δ), not O(table).
+    /// A call with fewer rows than before, or under a different schema,
+    /// starts the table over: its earlier stats (recorded ones included) are
+    /// dropped and every row is read again.  The result always equals what
+    /// a fresh [`Statistics`] would derive from the same rows.
+    pub fn observe_table(&mut self, table: &str, schema: &Schema, rows: &[Row]) {
+        let seen = match self.observed.get_mut(table) {
+            Some(seen) if seen.cursor <= rows.len() && seen.schema == *schema => seen,
+            _ => {
+                self.forget_table(table);
+                self.observed
+                    .entry(table.to_string())
+                    .or_insert_with(|| Observed::new(schema))
+            }
+        };
+        for row in &rows[seen.cursor..] {
+            for (ci, run) in seen.columns.iter_mut().enumerate() {
+                if let Some(v) = row.value(ci).and_then(Value::as_i64) {
+                    run.distinct.insert(v);
+                    run.span = Some(run.span.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
                 }
             }
-            if distinct.is_empty() {
-                continue;
-            }
-            self.record(
-                table,
-                &col.name,
-                ColumnStats {
-                    rows: rows.len() as u64,
-                    distinct: distinct.len() as u64,
-                    min,
-                    max,
-                },
-            );
         }
+        seen.cursor = rows.len();
+        for (col, run) in schema.columns().iter().zip(&seen.columns) {
+            let Some((min, max)) = run.span else { continue };
+            let stats = ColumnStats {
+                rows: rows.len() as u64,
+                distinct: run.distinct.len() as u64,
+                min,
+                max,
+            };
+            self.columns
+                .insert((table.to_string(), col.name.clone()), stats);
+        }
+    }
+
+    /// Drops every stat of `table`, recorded or observed (the analyst's
+    /// logical copy no longer has the table).
+    pub fn forget_table(&mut self, table: &str) {
+        self.observed.remove(table);
+        self.columns.retain(|(t, _), _| t != table);
     }
 }
 
@@ -495,6 +541,73 @@ mod tests {
         assert!(stats.get("yellow", "fare").is_none());
         // Timestamp columns do.
         assert!(stats.get("yellow", "pick_time").is_some());
+    }
+
+    /// Folding rows in step by step — appends, a table that shrinks, a
+    /// table replaced under a new schema — must leave exactly the state a
+    /// fresh [`Statistics`] derives from the final rows in one call, cursor
+    /// included, so a skipped or re-read row fails the comparison.
+    #[test]
+    fn incremental_observation_equals_a_rebuild_after_every_step() {
+        use rand::{Rng, SeedableRng};
+        let trips = Schema::from_pairs(&[
+            ("pick_time", DataType::Timestamp),
+            ("pickup_id", DataType::Int),
+            ("fare", DataType::Float),
+        ]);
+        let zones =
+            Schema::from_pairs(&[("pickup_id", DataType::Int), ("dropoff_id", DataType::Int)]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x57a7);
+        let cell = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..6) {
+            0 => Value::Null,
+            1 => Value::Float(1.5),
+            _ => Value::Int(rng.gen_range(-40..40)),
+        };
+        let tables = ["yellow", "green"];
+        let mut schemas = [trips.clone(), trips.clone()];
+        let mut data: [Vec<Row>; 2] = [Vec::new(), Vec::new()];
+        let mut incremental = Statistics::new();
+        let (mut shrinks, mut replacements) = (0, 0);
+        for _ in 0..400 {
+            let t = rng.gen_range(0..2);
+            match rng.gen_range(0..12) {
+                0 => {
+                    let keep = rng.gen_range(0..=data[t].len());
+                    shrinks += usize::from(keep < data[t].len());
+                    data[t].truncate(keep);
+                }
+                1 => {
+                    schemas[t] = if schemas[t] == trips {
+                        zones.clone()
+                    } else {
+                        trips.clone()
+                    };
+                    let keep = rng.gen_range(0..=data[t].len());
+                    data[t].truncate(keep);
+                    for row in &mut data[t] {
+                        *row = Row::new((0..schemas[t].arity()).map(|_| cell(&mut rng)).collect());
+                    }
+                    replacements += 1;
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(0..6) {
+                        let row = (0..schemas[t].arity()).map(|_| cell(&mut rng)).collect();
+                        data[t].push(Row::new(row));
+                    }
+                }
+            }
+            incremental.observe_table(tables[t], &schemas[t], &data[t]);
+            let mut rebuilt = Statistics::new();
+            for u in 0..2 {
+                if incremental.observed.contains_key(tables[u]) {
+                    rebuilt.observe_table(tables[u], &schemas[u], &data[u]);
+                }
+            }
+            assert_eq!(incremental, rebuilt);
+        }
+        assert!(shrinks > 5 && replacements > 5, "both reset paths ran");
+        incremental.forget_table("yellow");
+        assert!(incremental.get("yellow", "pickup_id").is_none());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Rows and their compact binary serialization.
 //!
-//! A [`Row`] is an ordered list of [`Value`]s matching a [`Schema`].  Rows are
-//! serialized into a compact tag-prefixed binary format before encryption so
-//! that the paper's taxi schema fits comfortably inside the fixed
+//! A [`Row`] is an ordered list of [`Value`]s matching a
+//! [`Schema`](crate::schema::Schema).  Rows are serialized into a compact
+//! tag-prefixed binary format before encryption so that the paper's taxi
+//! schema fits comfortably inside the fixed
 //! [`dpsync_crypto::RECORD_PAYLOAD_LEN`] payload of an encrypted record.
 
-use crate::schema::{Schema, Value};
+use crate::schema::Value;
 use serde::{Deserialize, Serialize};
 
 /// A row of typed values.
@@ -63,11 +64,6 @@ impl Row {
     /// The value at `index`, if within bounds.
     pub fn value(&self, index: usize) -> Option<&Value> {
         self.values.get(index)
-    }
-
-    /// The value of the named column under `schema`.
-    pub fn value_by_name<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a Value> {
-        schema.column_index(name).and_then(|i| self.values.get(i))
     }
 
     /// Projects the row onto the given column indices (missing indices become NULL).
@@ -181,7 +177,6 @@ impl From<Vec<Value>> for Row {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::DataType;
 
     fn sample_row() -> Row {
         Row::new(vec![
@@ -250,20 +245,6 @@ mod tests {
             Value::Text(s) => assert_eq!(s.len(), 255),
             other => panic!("unexpected value {other:?}"),
         }
-    }
-
-    #[test]
-    fn value_by_name_uses_schema_ordering() {
-        let schema = Schema::from_pairs(&[
-            ("pick_time", DataType::Timestamp),
-            ("pickup_id", DataType::Int),
-        ]);
-        let row = Row::new(vec![Value::Timestamp(5), Value::Int(99)]);
-        assert_eq!(
-            row.value_by_name(&schema, "pickup_id"),
-            Some(&Value::Int(99))
-        );
-        assert_eq!(row.value_by_name(&schema, "nope"), None);
     }
 
     #[test]

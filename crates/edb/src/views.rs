@@ -32,7 +32,7 @@
 //! delta rule is exact: a matching inserted row increments one counter.
 //! Joins and row-returning selections are rejected at definition time.
 
-use crate::exec::eval_predicate;
+use crate::exec::{ExecError, ResolvedPredicate};
 use crate::query::{Query, QueryAnswer};
 use crate::rewrite;
 use crate::row::Row;
@@ -118,6 +118,8 @@ impl ViewDef {
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     def: ViewDef,
+    /// The selection predicate, resolved once against the mirror schema.
+    filter: ResolvedPredicate,
     /// Pre-resolved group column index (`GroupByCount` only).
     group_index: Option<usize>,
     /// Scalar count state (`Count` views).
@@ -133,20 +135,31 @@ impl MaterializedView {
     /// Creates empty view state over `schema` (the engine's mirror schema,
     /// i.e. the logical schema extended with the dummy flag).
     ///
-    /// Fails like the scan executor does when the group column is unknown.
+    /// Resolves the predicate and group column once, with the scan
+    /// executor's semantics, and fails like it does when the group column is
+    /// unknown.
     pub fn new(def: ViewDef, schema: &Schema) -> Result<Self, EdbError> {
-        let group_index = match def.query() {
+        let (predicate, group_index) = match def.query() {
+            Query::Count { predicate, .. } => (predicate.as_ref(), None),
             Query::GroupByCount {
-                table, group_by, ..
-            } => Some(schema.column_index(group_by).ok_or_else(|| {
-                EdbError::Exec(crate::exec::ExecError::UnknownColumn {
-                    table: table.clone(),
-                    column: group_by.clone(),
-                })
-            })?),
-            _ => None,
+                table,
+                group_by,
+                predicate,
+            } => {
+                let index =
+                    schema
+                        .column_index(group_by)
+                        .ok_or_else(|| ExecError::UnknownColumn {
+                            table: table.clone(),
+                            column: group_by.clone(),
+                        })?;
+                (predicate.as_ref(), Some(index))
+            }
+            // Unreachable by construction: `ViewDef::new` rejects the rest.
+            Query::JoinCount { .. } | Query::Select { .. } => (None, None),
         };
         Ok(Self {
+            filter: ResolvedPredicate::filter(predicate, schema),
             def,
             group_index,
             count: 0,
@@ -160,19 +173,13 @@ impl MaterializedView {
         &self.def
     }
 
-    /// Applies one real inserted row.  `schema` must describe `row`'s layout
-    /// by column name; predicates never reference the dummy flag (rejected at
-    /// definition time), so the same call works for logical rows and for
-    /// flag-extended mirror rows.
-    pub fn apply_row(&mut self, schema: &Schema, row: &Row) {
+    /// Applies one real inserted row, laid out as the schema the view was
+    /// created over.  Predicates never reference the dummy flag (rejected at
+    /// definition time) and the flag is the last mirror column, so the same
+    /// call works for logical rows and for flag-extended mirror rows.
+    pub fn apply_row(&mut self, row: &Row) {
         self.maintained_records += 1;
-        let matches = match self.def.query() {
-            Query::Count { predicate, .. } | Query::GroupByCount { predicate, .. } => predicate
-                .as_ref()
-                .is_none_or(|p| eval_predicate(p, schema, row)),
-            _ => false,
-        };
-        if !matches {
+        if !self.filter.matches(row) {
             return;
         }
         match self.group_index {
@@ -194,11 +201,11 @@ impl MaterializedView {
     /// Applies a mirror row (flag column included): dummies take the no-op
     /// path, real rows the delta path.  Used to backfill a view registered
     /// after data has already been ingested.
-    pub fn apply_mirror_row(&mut self, schema: &Schema, row: &Row, flag_column: usize) {
+    pub fn apply_mirror_row(&mut self, row: &Row, flag_column: usize) {
         if row.value(flag_column) == Some(&Value::Bool(true)) {
             self.apply_dummy();
         } else {
-            self.apply_row(schema, row);
+            self.apply_row(row);
         }
     }
 
@@ -316,7 +323,7 @@ mod tests {
         let def = ViewDef::new("q1", paper_queries::q1_range_count("yellow")).unwrap();
         let mut view = MaterializedView::new(def, &schema()).unwrap();
         for (p, dummy) in [(60, false), (200, false), (75, false), (0, true)] {
-            view.apply_mirror_row(&schema(), &mirror_row(1, p, dummy), 2);
+            view.apply_mirror_row(&mirror_row(1, p, dummy), 2);
         }
         assert_eq!(view.answer(), QueryAnswer::Scalar(2.0));
         assert_eq!(view.result_size(), 1);
@@ -328,7 +335,7 @@ mod tests {
         let def = ViewDef::new("q2", paper_queries::q2_group_by_count("yellow")).unwrap();
         let mut view = MaterializedView::new(def, &schema()).unwrap();
         for p in [5, 5, 9] {
-            view.apply_row(&schema(), &mirror_row(1, p, false));
+            view.apply_row(&mirror_row(1, p, false));
         }
         view.apply_dummy();
         let answer = view.answer();
