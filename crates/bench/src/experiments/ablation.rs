@@ -12,7 +12,8 @@ use crate::experiments::config::{EngineKind, ExperimentConfig};
 use crate::experiments::runner::{build_run_engine, build_workloads, RunSpec};
 use crate::report::TextTable;
 use dpsync_core::metrics::SimulationReport;
-use dpsync_core::simulation::{Simulation, SimulationConfig};
+use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::{
     AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, StrategyKind, SyncStrategy,
 };
@@ -55,6 +56,12 @@ fn run_with_flush(
     // guard keeps a disk run's scratch directory alive for the run.
     let (engine, _disk_dir) = build_run_engine(&spec, &master);
     let workloads = build_workloads(&spec);
+    let horizon = workloads
+        .iter()
+        .map(TableWorkload::horizon)
+        .max()
+        .unwrap_or(0);
+    let owners: Vec<OwnerWorkload> = workloads.iter().map(OwnerWorkload::from).collect();
     let eps = Epsilon::new_unchecked(config.params.epsilon);
     let sim = Simulation::new(SimulationConfig {
         query_interval: config.query_interval,
@@ -62,8 +69,9 @@ fn run_with_flush(
         queries: spec.query_set(),
         seed: config.seed,
     });
-    sim.run_parallel(
-        &workloads,
+    sim.run_sparse(
+        &owners,
+        horizon,
         engine.as_ref(),
         &master,
         |_| -> Box<dyn SyncStrategy> {

@@ -11,7 +11,6 @@ use dpsync_core::strategy::{
 };
 use dpsync_dp::Epsilon;
 use dpsync_workloads::taxi::{TaxiConfig, TaxiDataset};
-use serde::{Deserialize, Serialize};
 
 /// Engine selection now lives next to the engines themselves; the harness
 /// re-exports it so experiment code keeps one import path.
@@ -29,7 +28,7 @@ pub use dpsync_edb::engines::EngineKind;
 /// group-commit sync windows — identical durability guarantees at the
 /// acknowledgment boundary, one `fdatasync` amortized across a window of
 /// concurrent batches instead of one per batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The in-memory backend (the default).
     #[default]
@@ -74,7 +73,7 @@ impl std::fmt::Display for BackendKind {
 /// reports are byte-identical to `Inproc` runs — pinned by the
 /// remote-equivalence suite in `dpsync-core` — so the transport is a pure
 /// deployment choice, never an experimental variable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Engine calls are in-process function calls (the default).
     #[default]
@@ -170,7 +169,7 @@ impl Drop for ScratchDir {
 }
 
 /// Strategy parameters for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyParams {
     /// Privacy budget for the DP strategies.
     pub epsilon: f64,
@@ -219,7 +218,7 @@ impl StrategyParams {
 }
 
 /// Top-level experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Workload/horizon scale divisor: 1 is the paper's full month, larger
     /// values shrink both horizon and record counts proportionally (used by

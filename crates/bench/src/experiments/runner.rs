@@ -2,11 +2,11 @@
 //! fans batches of independent runs out over the worker pool.
 //!
 //! Determinism: every random stream in a run is derived from the run's own
-//! config seed (workload, owners, analyst), and within a run the sharded
-//! simulation driver is barrier-synchronized per time unit — so a batch of
-//! runs produces byte-identical [`SimulationReport`]s (up to wall-clock
-//! fields, see [`SimulationReport::normalized`]) whether it executes
-//! sequentially or on the pool, in any worker count.
+//! config seed (workload, owners, analyst), and within a run the sparse-tick
+//! driver handles owners in a fixed `(time, owner)` order on one thread — so
+//! a batch of runs produces byte-identical [`SimulationReport`]s (up to
+//! wall-clock fields, see [`SimulationReport::normalized`]) whether it
+//! executes sequentially or on the pool, in any worker count.
 
 use crate::experiments::config::{
     serve_addr, BackendKind, EngineKind, ExperimentConfig, ScratchDir, TransportKind,
@@ -14,6 +14,7 @@ use crate::experiments::config::{
 use crate::pool::parallel_map;
 use dpsync_core::metrics::SimulationReport;
 use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::StrategyKind;
 use dpsync_crypto::MasterKey;
 use dpsync_edb::backend::{BackendConfig, GroupCommitConfig, SegmentLogConfig};
@@ -187,14 +188,20 @@ fn simulation_for(spec: &RunSpec) -> Simulation {
 
 /// Runs one full simulation and returns its report.
 ///
-/// Uses the sharded driver (one owner thread per table); see
-/// [`run_simulation_sequential`] for the single-threaded reference.
+/// Uses the sparse-tick driver; see [`run_simulation_sequential`] for the
+/// dense reference.
 pub fn run_simulation(spec: &RunSpec) -> SimulationReport {
     let master = master_key(&spec.config);
     let (engine, _disk_dir) = build_run_engine(spec, &master);
     let workloads = build_workloads(spec);
+    let horizon = workloads
+        .iter()
+        .map(TableWorkload::horizon)
+        .max()
+        .unwrap_or(0);
+    let owners: Vec<OwnerWorkload> = workloads.iter().map(OwnerWorkload::from).collect();
     let report = simulation_for(spec)
-        .run_parallel(&workloads, engine.as_ref(), &master, |_| {
+        .run_sparse(&owners, horizon, engine.as_ref(), &master, |_| {
             spec.config.params.build(spec.strategy)
         })
         .expect("simulation over generated workloads cannot fail");
@@ -204,10 +211,10 @@ pub fn run_simulation(spec: &RunSpec) -> SimulationReport {
     report
 }
 
-/// Runs one full simulation on the single-threaded reference driver.
+/// Runs one full simulation on the dense reference driver.
 ///
 /// Exists so determinism tests (and suspicious readers) can check that the
-/// sharded path reproduces the sequential reports byte for byte.
+/// sparse-tick path reproduces the dense reports byte for byte.
 pub fn run_simulation_sequential(spec: &RunSpec) -> SimulationReport {
     let master = master_key(&spec.config);
     let (engine, _disk_dir) = build_run_engine(spec, &master);

@@ -1,6 +1,6 @@
 //! The parallel experiment runner must be a pure speedup: for a fixed-seed
-//! sweep, the reports coming off the worker pool (and out of the sharded
-//! per-owner simulation driver) must be byte-identical to the sequential
+//! sweep, the reports coming off the worker pool (and out of the sparse-tick
+//! simulation driver) must be byte-identical to the sequential dense
 //! reference — wall-clock fields aside, which `normalized()` strips.
 
 use dpsync_bench::experiments::config::EngineKind;

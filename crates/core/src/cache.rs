@@ -12,11 +12,10 @@
 //! recent records.
 
 use dpsync_edb::Row;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The order in which cached records are drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// First-in first-out (paper default; preserves arrival order — P3).
     #[default]

@@ -17,10 +17,9 @@ use dpsync_crypto::{MasterKey, RecordCryptor};
 use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
 use dpsync_edb::{Row, Schema};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// What happened at one time unit from the owner's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// The time unit this report covers.
     pub time: Timestamp,

@@ -9,26 +9,22 @@
 //! figures.  Its output, a [`SimulationReport`], is what the experiment
 //! binaries in `dpsync-bench` turn into the paper's tables and figures.
 //!
-//! # Sequential vs. sharded vs. sparse execution
+//! # Production and reference drivers
 //!
-//! Three drivers share the same semantics:
+//! Two drivers share the same semantics:
 //!
-//! * [`Simulation::run`] — the sequential reference: owners tick in workload
-//!   order on the calling thread.
-//! * [`Simulation::run_parallel`] — one worker thread per table owner, with a
-//!   barrier at every time unit.  The barrier is what preserves Definition 2:
-//!   the adversary-visible update pattern is a set of `(t, |γ_t|)` events,
-//!   and since no owner enters time unit `t + 1` before every owner finished
-//!   `t` (and the analyst only runs between ticks), the transcript the server
-//!   assembles is identical to the sequential driver's — only the
-//!   intra-tick interleaving of independent per-table uploads differs, and
-//!   the server storage merges those into a canonical order.
-//! * [`Simulation::run_sparse`] (in [`crate::sparse`]) — an event-driven
-//!   scheduler that skips ticks on which no owner has work, built for
-//!   10^5–10^6 mostly-idle owners; see ARCHITECTURE.md §9.
+//! * [`Simulation::run_sparse`] (in [`crate::sparse`]) — the production
+//!   driver: an event-driven scheduler that wakes an owner only at ticks on
+//!   which it has work, so its cost follows events rather than
+//!   `owners × horizon`; see ARCHITECTURE.md §9.
+//! * [`Simulation::run`] — the dense reference: every owner ticks at every
+//!   time unit, in workload order, on the calling thread.  It is kept so
+//!   tests (and `exp_scale`'s self-check) can compare the sparse driver
+//!   against the plain per-tick loop.
 //!
-//! With fixed seeds all drivers produce identical reports up to measured
-//! wall-clock fields; see [`SimulationReport::normalized`].
+//! With fixed seeds both drivers produce identical reports up to measured
+//! wall-clock fields (see [`SimulationReport::normalized`]) and identical
+//! adversary views.
 //!
 //! # Owner churn
 //!
@@ -37,7 +33,7 @@
 //! preparation, followed immediately by a normal tick (so records arriving
 //! exactly at the join tick are delivered, not dropped), and the owner is
 //! never ticked outside its active window `join_time ≤ t ≤ leave_time`.
-//! All three drivers apply identical churn semantics.
+//! Both drivers apply identical churn semantics.
 
 use crate::analyst::{Analyst, NamedQuery};
 use crate::metrics::{SimulationReport, SizeSample};
@@ -50,10 +46,6 @@ use dpsync_edb::exec::PlainDatabase;
 use dpsync_edb::planner::LeakagePolicy;
 use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
 use dpsync_edb::{Query, Row, Schema};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::thread;
 
 /// The workload for one outsourced table.
 #[derive(Debug, Clone)]
@@ -148,7 +140,7 @@ pub(crate) struct OwnerSpec<'a> {
     pub(crate) join_time: u64,
 }
 
-/// Pre-run state shared by all drivers: present-from-the-start owners set
+/// Pre-run state shared by both drivers: present-from-the-start owners set
 /// up, logical database seeded with their initial rows, per-component RNGs
 /// derived.  Owners joining mid-run keep their setup RNG in `setup_rngs`
 /// until their join tick.
@@ -219,36 +211,9 @@ impl Simulation {
     }
 
     /// Runs `Π_Setup` for every table present from the start and derives the
-    /// per-component RNG streams.  Shared between the sequential and the
-    /// parallel driver so that both start from bit-identical state.
-    fn prepare(
-        &self,
-        workloads: &[TableWorkload],
-        engine: &dyn SecureOutsourcedDatabase,
-        master: &MasterKey,
-        make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<PreparedRun, EdbError> {
-        let specs: Vec<OwnerSpec<'_>> = workloads
-            .iter()
-            .map(|w| OwnerSpec {
-                table: &w.table,
-                schema: &w.schema,
-                initial_rows: &w.initial_rows,
-                join_time: w.join_time,
-            })
-            .collect();
-        let horizon = workloads
-            .iter()
-            .map(TableWorkload::horizon)
-            .max()
-            .unwrap_or(0);
-        let engines: Vec<&dyn SecureOutsourcedDatabase> = vec![engine; workloads.len()];
-        self.prepare_specs(&specs, horizon, &engines, master, make_strategy)
-    }
-
-    /// The shared preparation path behind [`Simulation::prepare`] and the
-    /// sparse-tick driver: one engine reference per owner (the dense drivers
-    /// pass the same engine for all), explicit horizon.
+    /// per-component RNG streams: the preparation path behind both drivers,
+    /// with one engine reference per owner (the dense driver passes the same
+    /// engine for all) and an explicit horizon.
     ///
     /// `DpRng::derive` is stateless and label-keyed, so the per-owner streams
     /// (`owner/{table}`, `owner-ticks/{table}`) and the analyst stream are
@@ -332,7 +297,9 @@ impl Simulation {
         })
     }
 
-    /// Runs the simulation sequentially (the reference driver).
+    /// Runs the simulation on the dense reference driver: every owner ticks
+    /// at every time unit.  Production callers use
+    /// [`Simulation::run_sparse`], which this driver exists to check.
     ///
     /// * `workloads` — one entry per table; all are replayed on a shared clock.
     /// * `engine` — the shared encrypted database.
@@ -347,7 +314,22 @@ impl Simulation {
         master: &MasterKey,
         make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
     ) -> Result<SimulationReport, EdbError> {
-        let mut run = self.prepare(workloads, engine, master, make_strategy)?;
+        let specs: Vec<OwnerSpec<'_>> = workloads
+            .iter()
+            .map(|w| OwnerSpec {
+                table: &w.table,
+                schema: &w.schema,
+                initial_rows: &w.initial_rows,
+                join_time: w.join_time,
+            })
+            .collect();
+        let horizon = workloads
+            .iter()
+            .map(TableWorkload::horizon)
+            .max()
+            .unwrap_or(0);
+        let engines = vec![engine; workloads.len()];
+        let mut run = self.prepare_specs(&specs, horizon, &engines, master, make_strategy)?;
         let mut query_samples = Vec::new();
         let mut size_samples = Vec::new();
 
@@ -414,200 +396,6 @@ impl Simulation {
             size_samples,
             sync_count: run.sync_count,
             horizon: run.horizon,
-        })
-    }
-
-    /// Runs the simulation with one worker thread per table owner.
-    ///
-    /// Every owner advances in lock-step with a barrier per time unit, so the
-    /// adversary-visible update-pattern semantics of Definition 2 are
-    /// unchanged: an upload at time `t` can never be reordered across a tick
-    /// boundary, and the analyst observes the engine only at tick boundaries
-    /// with all owners parked.  With a fixed seed the report is identical to
-    /// [`Simulation::run`]'s up to measured wall-clock fields (compare via
-    /// [`SimulationReport::normalized`]).
-    pub fn run_parallel(
-        &self,
-        workloads: &[TableWorkload],
-        engine: &dyn SecureOutsourcedDatabase,
-        master: &MasterKey,
-        make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<SimulationReport, EdbError> {
-        let mut run = self.prepare(workloads, engine, master, make_strategy)?;
-        let horizon = run.horizon;
-        let mut query_samples = Vec::new();
-        let mut size_samples = Vec::new();
-
-        // One slot per owner, refreshed after every tick, so the main thread
-        // can take size samples at tick boundaries without touching owners.
-        let gaps: Vec<AtomicU64> = run
-            .owners
-            .iter()
-            .map(|o| AtomicU64::new(o.logical_gap()))
-            .collect();
-        // First error wins; once set, every thread (owners and main) idles
-        // through the remaining barriers so nobody deadlocks.  Panics are
-        // caught the same way (a dead thread would otherwise strand everyone
-        // else on the barrier forever) and re-thrown after the scope ends.
-        let failure: Mutex<Option<EdbError>> = Mutex::new(None);
-        let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let barrier = Barrier::new(run.owners.len() + 1);
-
-        let owners = std::mem::take(&mut run.owners);
-        let owner_rngs = std::mem::take(&mut run.owner_rngs);
-        let setup_rngs = std::mem::take(&mut run.setup_rngs);
-
-        thread::scope(|scope| {
-            let handles: Vec<_> = owners
-                .into_iter()
-                .zip(workloads)
-                .zip(owner_rngs)
-                .zip(setup_rngs)
-                .enumerate()
-                .map(
-                    |(index, (((mut owner, workload), mut owner_rng), mut setup_rng))| {
-                        let barrier = &barrier;
-                        let failure = &failure;
-                        let panicked = &panicked;
-                        let gaps = &gaps;
-                        scope.spawn(move || {
-                            let mut synced = 0u64;
-                            for t in 1..=horizon {
-                                barrier.wait();
-                                if failure.lock().is_none() && panicked.lock().is_none() {
-                                    let tick = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            let mut syncs = 0u64;
-                                            if t == workload.join_time {
-                                                let rng = setup_rng
-                                                    .as_mut()
-                                                    .expect("join tick reached once");
-                                                syncs += u64::from(
-                                                    owner
-                                                        .setup(
-                                                            workload.initial_rows.clone(),
-                                                            engine,
-                                                            rng,
-                                                        )?
-                                                        .synced,
-                                                );
-                                            }
-                                            // Join tick included: deliver
-                                            // join-tick arrivals right after
-                                            // the deferred setup.
-                                            if workload.active_at(t) {
-                                                syncs += u64::from(
-                                                    owner
-                                                        .tick(
-                                                            Timestamp(t),
-                                                            workload.arrivals_at(t),
-                                                            engine,
-                                                            &mut owner_rng,
-                                                        )?
-                                                        .synced,
-                                                );
-                                            }
-                                            Ok(syncs)
-                                        }),
-                                    );
-                                    match tick {
-                                        Ok(Ok(tick_syncs)) => {
-                                            synced += tick_syncs;
-                                            gaps[index]
-                                                .store(owner.logical_gap(), Ordering::Release);
-                                        }
-                                        Ok(Err(e)) => {
-                                            failure.lock().get_or_insert(e);
-                                        }
-                                        Err(payload) => {
-                                            panicked.lock().get_or_insert(payload);
-                                        }
-                                    }
-                                }
-                                barrier.wait();
-                            }
-                            synced
-                        })
-                    },
-                )
-                .collect();
-
-            for t in 1..=horizon {
-                let time = Timestamp(t);
-                // Release the owners into tick t; maintain the ground truth
-                // concurrently (owners never touch the logical database).
-                barrier.wait();
-                if failure.lock().is_none() && panicked.lock().is_none() {
-                    for w in workloads {
-                        if t == w.join_time {
-                            for row in &w.initial_rows {
-                                run.logical.insert(&w.table, row.clone());
-                            }
-                        }
-                        if w.active_at(t) {
-                            for row in w.arrivals_at(t) {
-                                run.logical.insert(&w.table, row.clone());
-                            }
-                        }
-                    }
-                }
-                // All owners finished tick t and are parked until the next
-                // barrier, so the analyst sees a stable engine state.
-                barrier.wait();
-                if failure.lock().is_some() || panicked.lock().is_some() {
-                    continue;
-                }
-
-                if self.config.query_interval > 0 && t % self.config.query_interval == 0 {
-                    match run
-                        .analyst
-                        .pose_all(time, engine, &run.logical, &mut run.analyst_rng)
-                    {
-                        Ok(samples) => query_samples.extend(samples),
-                        Err(e) => {
-                            failure.lock().get_or_insert(e);
-                            continue;
-                        }
-                    }
-                }
-
-                if (self.config.size_sample_interval > 0
-                    && t % self.config.size_sample_interval == 0)
-                    || t == horizon
-                {
-                    let gap = gaps.iter().map(|g| g.load(Ordering::Acquire)).sum();
-                    size_samples.push(self.sample_sizes(
-                        time,
-                        workloads.iter().map(|w| w.table.as_str()),
-                        engine,
-                        gap,
-                        &run.logical,
-                    ));
-                }
-            }
-
-            for handle in handles {
-                run.sync_count += handle.join().expect("owner thread panicked");
-            }
-        });
-
-        // Re-throw a caught owner panic with its original payload, matching
-        // the sequential driver's abort-with-message behaviour.
-        if let Some(payload) = panicked.into_inner() {
-            std::panic::resume_unwind(payload);
-        }
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-
-        Ok(SimulationReport {
-            strategy: run.strategy_kind,
-            engine: engine.name().to_string(),
-            epsilon: run.epsilon,
-            query_samples,
-            size_samples,
-            sync_count: run.sync_count,
-            horizon,
         })
     }
 
@@ -802,52 +590,6 @@ mod tests {
         let a = run(StrategyKind::DpTimer, 400).normalized();
         let b = run(StrategyKind::DpTimer, 400).normalized();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential_driver() {
-        // One owner per table on its own thread, barrier per tick: the report
-        // must be bit-identical (up to wall clock) to the sequential driver.
-        for kind in [
-            StrategyKind::Sur,
-            StrategyKind::DpTimer,
-            StrategyKind::DpAnt,
-        ] {
-            let master = MasterKey::from_bytes([6u8; 32]);
-            let mut cfg = config(400);
-            cfg.queries = vec![
-                ("Q2".into(), paper_queries::q2_group_by_count("yellow")),
-                ("Q3".into(), paper_queries::q3_join_count("yellow", "green")),
-            ];
-            let sim = Simulation::new(cfg);
-            let mut green = workload(400);
-            green.table = "green".into();
-            let workloads = [workload(400), green];
-
-            let sequential_engine = ObliDbEngine::new(&master);
-            let sequential = sim
-                .run(&workloads, &sequential_engine, &master, |_| {
-                    strategy_for(kind)
-                })
-                .unwrap()
-                .normalized();
-
-            let parallel_engine = ObliDbEngine::new(&master);
-            let parallel = sim
-                .run_parallel(&workloads, &parallel_engine, &master, |_| {
-                    strategy_for(kind)
-                })
-                .unwrap()
-                .normalized();
-
-            assert_eq!(sequential, parallel, "driver mismatch for {kind:?}");
-            // The adversary transcripts must merge to the same canonical view.
-            assert_eq!(
-                sequential_engine.adversary_view(),
-                parallel_engine.adversary_view(),
-                "transcript mismatch for {kind:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The sparse-tick simulation driver: event-driven scheduling for fleets of
-//! mostly-idle owners.
+//! mostly-idle owners, and the driver every production caller runs.
 //!
-//! The dense drivers ([`Simulation::run`], [`Simulation::run_parallel`]) step
-//! every owner through every time unit, which costs `O(owners × horizon)`
-//! even when almost every tick is a no-op.  At the scale the harness targets
+//! The dense reference driver ([`Simulation::run`]) steps every owner
+//! through every time unit, which costs `O(owners × horizon)` even when
+//! almost every tick is a no-op.  At the scale the harness targets
 //! (10^5–10^6 owners, see `exp_scale` in `dpsync-bench`) a typical owner has
 //! work at a few dozen ticks out of thousands, so this module replaces the
 //! per-tick sweep with a time-ordered **ready queue** of
@@ -23,7 +23,7 @@
 //! nothing the adversary observes and perturbs no RNG stream.  The full
 //! argument lives in ARCHITECTURE.md §9; the invariant is pinned by the
 //! `sparse_tick_equivalence` integration suite, which requires normalized
-//! reports and adversary views byte-identical to the dense reference drivers
+//! reports and adversary views byte-identical to the dense reference driver
 //! under fixed seeds.
 //!
 //! # Ready-queue invariants
@@ -35,11 +35,11 @@
 //!    processes the owner and pushes its next event (if any).
 //! 3. Entries are popped in `(time, owner index)` order — the min-heap over
 //!    `(u64, usize)` tuples breaks time ties by owner index, matching the
-//!    dense drivers' per-tick owner iteration order exactly.
+//!    dense driver's per-tick owner iteration order exactly.
 //! 4. Observation boundaries (analyst queries, size samples, the horizon)
 //!    are merged into the same timeline: the loop never advances past the
 //!    next boundary, so the analyst runs at exactly the ticks the dense
-//!    drivers run it, with all owner work at that tick already applied.
+//!    driver runs it, with all owner work at that tick already applied.
 
 use crate::metrics::SimulationReport;
 use crate::simulation::{OwnerSpec, Simulation, TableWorkload};
@@ -70,9 +70,11 @@ pub struct OwnerWorkload {
     /// [`TableWorkload::leave_time`]).
     pub leave_time: Option<u64>,
     /// Arrival events, strictly increasing in time, each with a non-empty
-    /// batch of rows; every time must lie inside the owner's active window
-    /// (`join_time ≤ t ≤ leave_time` — the join tick itself may carry
-    /// arrivals, delivered right after the deferred `Π_Setup`).
+    /// batch of rows.  The first time must be at least `max(1, join_time)`
+    /// (the join tick itself may carry arrivals, delivered right after the
+    /// deferred `Π_Setup`); [`Simulation::run_sparse`] asserts this.
+    /// Arrivals after `leave_time` or past the horizon are legal and
+    /// dropped.
     pub arrivals: Vec<(u64, Vec<Row>)>,
 }
 
@@ -101,7 +103,7 @@ impl OwnerWorkload {
     /// Expands back into the dense per-tick representation over
     /// `1..=horizon` (arrivals past `horizon` are dropped).  Used by the
     /// equivalence suite to replay the same workload through the dense
-    /// reference drivers.
+    /// reference driver.
     pub fn to_dense(&self, horizon: u64) -> TableWorkload {
         let mut arrivals: Vec<Vec<Row>> = vec![Vec::new(); horizon as usize];
         for (t, rows) in &self.arrivals {
@@ -123,7 +125,7 @@ impl OwnerWorkload {
 impl From<&TableWorkload> for OwnerWorkload {
     /// Compresses a dense workload into event-list form, keeping only
     /// non-empty arrival batches inside the owner's active window (the dense
-    /// drivers skip out-of-window arrivals too, so nothing observable is
+    /// driver skips out-of-window arrivals too, so nothing observable is
     /// lost).
     fn from(dense: &TableWorkload) -> Self {
         let arrivals = dense
@@ -148,13 +150,20 @@ impl From<&TableWorkload> for OwnerWorkload {
 
 impl Simulation {
     /// Runs the simulation with the sparse-tick scheduler against one shared
-    /// engine.
+    /// engine: the production driver.
     ///
-    /// Semantically identical to [`Simulation::run`] on the dense expansion
-    /// of `workloads` (see [`OwnerWorkload::to_dense`]): with a fixed seed
-    /// the normalized report and the engine's adversary view are
-    /// byte-identical.  The difference is cost — `O(events + boundaries)`
-    /// owner work instead of `O(owners × horizon)`.
+    /// Semantically identical to the dense reference [`Simulation::run`] on
+    /// the dense expansion of `workloads` (see [`OwnerWorkload::to_dense`]):
+    /// with a fixed seed the normalized report and the engine's adversary
+    /// view are byte-identical.  The difference is cost —
+    /// `O(events + boundaries)` owner work instead of `O(owners × horizon)`.
+    /// A dense [`TableWorkload`] converts with [`OwnerWorkload::from`].
+    ///
+    /// # Panics
+    ///
+    /// If an owner's arrival times are not strictly increasing or start
+    /// before `max(1, join_time)`: the scheduler would silently drop every
+    /// later arrival of that owner.
     pub fn run_sparse(
         &self,
         workloads: &[OwnerWorkload],
@@ -174,7 +183,7 @@ impl Simulation {
     /// carries owner `i`'s `Π_Setup` / `Π_Update` calls and `analyst_engine`
     /// carries the analyst's queries and the size samples.  `exp_scale
     /// --transport tcp` uses this to spread a million owners over a bounded
-    /// pool of reactor sessions.
+    /// pool of reactor sessions.  Panics as [`Simulation::run_sparse`] does.
     pub fn run_sparse_multi(
         &self,
         workloads: &[OwnerWorkload],
@@ -184,6 +193,22 @@ impl Simulation {
         master: &MasterKey,
         make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
     ) -> Result<SimulationReport, EdbError> {
+        // The cursor below only ever looks forward, so an arrival before the
+        // owner's first tick, or out of order, would stall it for good.
+        for w in workloads {
+            let first = w.join_time.max(1);
+            let mut previous = None;
+            for &(t, _) in &w.arrivals {
+                assert!(
+                    t >= first && previous.is_none_or(|p| t > p),
+                    "table {}: arrival at t = {t} breaks the precondition that arrival \
+                     times are strictly increasing and start at max(1, join_time) = {first} \
+                     or later",
+                    w.table
+                );
+                previous = Some(t);
+            }
+        }
         let specs: Vec<OwnerSpec<'_>> = workloads
             .iter()
             .map(|w| OwnerSpec {
@@ -202,7 +227,7 @@ impl Simulation {
         let mut cursors = vec![0usize; workloads.len()];
         // The ready queue: `Reverse` turns `BinaryHeap`'s max-heap into a
         // min-heap, and tuple ordering breaks equal times by owner index —
-        // exactly the dense drivers' per-tick iteration order.
+        // exactly the dense driver's per-tick iteration order.
         let mut queue: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
 
         // An owner's events never extend past its leave tick or the horizon.
@@ -232,7 +257,7 @@ impl Simulation {
 
         // Seed the queue: joined owners from their first post-zero event,
         // late joiners from their join tick (Π_Setup runs there even when
-        // the active window is empty, matching the dense drivers).
+        // the active window is empty, matching the dense driver).
         for (i, w) in workloads.iter().enumerate() {
             if w.join_time == 0 {
                 if let Some(t) = next_event(&run, &cursors, i, 0) {
@@ -280,7 +305,7 @@ impl Simulation {
                 }
                 // The join tick is inside the active window: the freshly
                 // set-up owner ticks immediately, so arrivals landing on its
-                // join tick are delivered exactly as the dense drivers do.
+                // join tick are delivered exactly as the dense driver does.
                 if w.active_at(t) {
                     let arrivals: &[Row] = match w.arrivals.get(cursors[i]) {
                         Some((arrival_time, rows)) if *arrival_time == t => {
@@ -307,7 +332,7 @@ impl Simulation {
                 }
             }
 
-            // 2. The analyst observes at exactly the dense drivers' ticks.
+            // 2. The analyst observes at exactly the dense driver's ticks.
             if qi > 0 && t.is_multiple_of(qi) {
                 query_samples.extend(run.analyst.pose_all(
                     time,
@@ -461,11 +486,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn arrival_driven_owner_skips_idle_stretches() {
-        // A SUR owner with two arrivals across a long horizon: the engine
-        // must see exactly setup + two updates, and the report must still
-        // cover the full horizon.
+    /// Runs one SUR owner over `arrivals`; returns the report and the
+    /// engine it synced to.
+    fn run_sur(
+        join_time: u64,
+        arrivals: Vec<(u64, Vec<Row>)>,
+        horizon: u64,
+    ) -> (SimulationReport, ObliDbEngine) {
         let master = MasterKey::from_bytes([3u8; 32]);
         let engine = ObliDbEngine::new(&master);
         let sim = Simulation::new(SimulationConfig {
@@ -478,17 +505,41 @@ mod tests {
             table: "yellow".into(),
             schema: schema(),
             initial_rows: vec![row(0, 1)],
-            join_time: 0,
+            join_time,
             leave_time: None,
-            arrivals: vec![(5, vec![row(5, 2)]), (90_000, vec![row(90_000, 3)])],
+            arrivals,
         };
         let report = sim
-            .run_sparse(&[workload], 100_000, &engine, &master, |_| {
+            .run_sparse(&[workload], horizon, &engine, &master, |_| {
                 Box::new(SynchronizeUponReceipt::new())
             })
             .unwrap();
+        (report, engine)
+    }
+
+    #[test]
+    fn arrival_driven_owner_skips_idle_stretches() {
+        // A SUR owner with two arrivals across a long horizon: the engine
+        // must see exactly setup + two updates, and the report must still
+        // cover the full horizon.
+        let arrivals = vec![(5, vec![row(5, 2)]), (90_000, vec![row(90_000, 3)])];
+        let (report, engine) = run_sur(0, arrivals, 100_000);
         assert_eq!(report.sync_count, 3); // setup + two arrival-driven syncs
         assert_eq!(report.horizon, 100_000);
         assert_eq!(engine.table_stats("yellow").real_records, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "table yellow: arrival at t = 5 breaks the precondition")]
+    fn arrival_before_the_join_tick_is_rejected() {
+        // The cursor would stop at t = 5 and the arrival at t = 20 would
+        // never reach the engine or the ground truth.
+        run_sur(10, vec![(5, vec![row(5, 2)]), (20, vec![row(20, 3)])], 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "table yellow: arrival at t = 10 breaks the precondition")]
+    fn unsorted_arrivals_are_rejected() {
+        run_sur(0, vec![(20, vec![row(20, 2)]), (10, vec![row(10, 3)])], 30);
     }
 }

@@ -7,12 +7,9 @@
 //! paper is supported: a [`LogicalUpdate`] may carry any number of rows.
 
 use dpsync_edb::Row;
-use serde::{Deserialize, Serialize};
 
 /// A discrete time unit (the evaluation uses one-minute units).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -48,7 +45,7 @@ impl From<u64> for Timestamp {
 }
 
 /// The logical update at one time unit: zero, one, or several rows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogicalUpdate {
     rows: Vec<Row>,
 }

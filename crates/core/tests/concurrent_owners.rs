@@ -6,6 +6,11 @@
 //! set of `(t, |γ_t|)` events, so as long as no upload crosses a tick
 //! boundary, intra-tick interleaving of per-table uploads must be invisible
 //! in the canonical merged [`AdversaryView`].
+//!
+//! The concurrent run takes two engine inputs: the in-process engine, and
+//! the same engine behind a shared-mode loopback server reached through one
+//! [`RemoteEdb`] handle, so both owner threads call that handle at once and
+//! its connection must serialize their request/response pairs.
 
 use dpsync_core::owner::Owner;
 use dpsync_core::strategy::{
@@ -19,7 +24,8 @@ use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::view::AdversaryView;
 use dpsync_edb::{DataType, Row, Schema, Value};
-use std::sync::Barrier;
+use dpsync_net::{EdbTcpServer, EngineProvider, RemoteEdb};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const HORIZON: u64 = 600;
@@ -84,26 +90,51 @@ fn sequential_transcript(kind: StrategyKind) -> AdversaryView {
     engine.adversary_view()
 }
 
-/// The concurrent run: one thread per owner, barrier-synchronized per tick,
-/// both calling `Π_Update` on the same engine.
-fn interleaved_transcript(kind: StrategyKind) -> AdversaryView {
+/// Where the concurrent run's owners send their calls.
+#[derive(Debug, Clone, Copy)]
+enum EngineInput {
+    InProcess,
+    SharedRemote,
+}
+
+/// The concurrent run on a fresh engine of the given input.
+fn interleaved_transcript(kind: StrategyKind, input: EngineInput) -> AdversaryView {
     let master = MasterKey::from_bytes([8u8; 32]);
-    let engine = ObliDbEngine::new(&master);
+    match input {
+        EngineInput::InProcess => interleaved_run(&ObliDbEngine::new(&master), &master, kind),
+        EngineInput::SharedRemote => {
+            let engine: Arc<dyn SecureOutsourcedDatabase> = Arc::new(ObliDbEngine::new(&master));
+            let server = EdbTcpServer::bind("127.0.0.1:0", EngineProvider::Shared(engine))
+                .expect("loopback server binds");
+            let remote = RemoteEdb::connect(server.local_addr()).expect("shared session opens");
+            let view = interleaved_run(&remote, &master, kind);
+            assert_eq!(server.handler_panics(), 0);
+            view
+        }
+    }
+}
+
+/// One thread per owner, barrier-synchronized per tick, both calling
+/// `Π_Update` through the same engine handle.
+fn interleaved_run(
+    engine: &dyn SecureOutsourcedDatabase,
+    master: &MasterKey,
+    kind: StrategyKind,
+) -> AdversaryView {
     // Setup runs on the main thread (the paper's Π_Setup precedes the
     // synchronized timeline).
     let mut owners: Vec<(Owner, DpRng)> = ["yellow", "green"]
         .iter()
-        .map(|table| make_owner(table, &master, kind))
+        .map(|table| make_owner(table, master, kind))
         .collect();
     for (owner, rng) in &mut owners {
-        owner.setup(vec![row(0, 1)], &engine, rng).unwrap();
+        owner.setup(vec![row(0, 1)], engine, rng).unwrap();
     }
 
     let barrier = Barrier::new(owners.len());
     thread::scope(|scope| {
         for (mut owner, mut rng) in owners.drain(..) {
             let barrier = &barrier;
-            let engine: &dyn SecureOutsourcedDatabase = &engine;
             scope.spawn(move || {
                 for t in 1..=HORIZON {
                     barrier.wait();
@@ -120,11 +151,14 @@ fn interleaved_transcript(kind: StrategyKind) -> AdversaryView {
 fn interleaved_owners_produce_the_reference_transcript() {
     for kind in [StrategyKind::Sur, StrategyKind::Set, StrategyKind::DpAnt] {
         let reference = sequential_transcript(kind);
-        let interleaved = interleaved_transcript(kind);
-        assert_eq!(
-            reference, interleaved,
-            "merged transcript diverged from the single-threaded reference for {kind:?}"
-        );
+        for input in [EngineInput::InProcess, EngineInput::SharedRemote] {
+            let interleaved = interleaved_transcript(kind, input);
+            assert_eq!(
+                reference, interleaved,
+                "merged transcript diverged from the single-threaded reference for \
+                 {kind:?} on {input:?}"
+            );
+        }
         // Sanity: the run actually produced interleavable work.
         assert!(reference.update_pattern().len() > 10, "{kind:?} too quiet");
     }
@@ -132,7 +166,7 @@ fn interleaved_owners_produce_the_reference_transcript() {
 
 #[test]
 fn merged_transcript_is_time_ordered_with_table_tiebreak() {
-    let view = interleaved_transcript(StrategyKind::Set);
+    let view = interleaved_transcript(StrategyKind::Set, EngineInput::InProcess);
     let events = view.update_events();
     assert!(
         events.windows(2).all(|w| w[0].time <= w[1].time),

@@ -6,8 +6,7 @@
 //! adversary observes the update pattern — the set of `(t, |γ_t|)` events —
 //! and the analyst observes query answers at tick boundaries, so on a
 //! fixed-seed workload the sparse driver must leave three things
-//! byte-identical to the dense reference drivers (sequential and
-//! barrier-parallel):
+//! byte-identical to the dense reference driver:
 //!
 //! 1. every query answer the analyst receives,
 //! 2. the full [`SimulationReport::normalized`] (errors, sizes, sync
@@ -18,7 +17,7 @@
 //! The suite covers every engine × {SET, DP-Timer, DP-ANT} — the strategies
 //! with the three distinct wake behaviours (dense every tick, boundary-only,
 //! dense with per-tick noise) — plus a churn workload where owners join and
-//! leave mid-run, exercising deferred `Π_Setup` on all three drivers.
+//! leave mid-run, exercising deferred `Π_Setup` on both drivers.
 
 use dpsync_core::metrics::SimulationReport;
 use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
@@ -120,7 +119,6 @@ fn strategy_for(kind: StrategyKind) -> Box<dyn SyncStrategy> {
 
 enum Driver {
     Sequential,
-    Parallel,
     Sparse,
 }
 
@@ -139,7 +137,6 @@ fn run_driver(
     let sim = simulation(horizon, seed, join);
     let report = match driver {
         Driver::Sequential => sim.run(dense, engine, &master, |_| strategy_for(kind)),
-        Driver::Parallel => sim.run_parallel(dense, engine, &master, |_| strategy_for(kind)),
         Driver::Sparse => {
             let sparse: Vec<OwnerWorkload> = dense.iter().map(OwnerWorkload::from).collect();
             sim.run_sparse(&sparse, horizon, engine, &master, |_| strategy_for(kind))
@@ -174,31 +171,34 @@ fn assert_drivers_agree(
                 seed,
             );
 
-            for (driver, driver_name) in [(Driver::Parallel, "barrier"), (Driver::Sparse, "sparse")]
-            {
-                let engine = engine_kind.build(&master);
-                let (report, view) =
-                    run_driver(driver, engine.as_ref(), &dense, strategy, horizon, seed);
-                assert_eq!(
-                    reference_report, report,
-                    "{label}: report mismatch for {engine_kind:?}/{strategy:?} via {driver_name}"
-                );
-                assert_eq!(
-                    reference_view, view,
-                    "{label}: adversary view mismatch for {engine_kind:?}/{strategy:?} via {driver_name}"
-                );
-                assert_eq!(
-                    format!("{reference_view:?}"),
-                    format!("{view:?}"),
-                    "{label}: debug rendering must also be byte-identical"
-                );
-            }
+            let engine = engine_kind.build(&master);
+            let (report, view) = run_driver(
+                Driver::Sparse,
+                engine.as_ref(),
+                &dense,
+                strategy,
+                horizon,
+                seed,
+            );
+            assert_eq!(
+                reference_report, report,
+                "{label}: report mismatch for {engine_kind:?}/{strategy:?}"
+            );
+            assert_eq!(
+                reference_view, view,
+                "{label}: adversary view mismatch for {engine_kind:?}/{strategy:?}"
+            );
+            assert_eq!(
+                format!("{reference_view:?}"),
+                format!("{view:?}"),
+                "{label}: debug rendering must also be byte-identical"
+            );
         }
     }
 }
 
 #[test]
-fn sparse_and_barrier_drivers_match_the_sequential_reference() {
+fn sparse_driver_matches_the_sequential_reference() {
     assert_drivers_agree(steady_workloads, 360, 7, "steady");
 }
 
@@ -206,7 +206,7 @@ fn sparse_and_barrier_drivers_match_the_sequential_reference() {
 fn churn_workload_is_driver_invariant() {
     // Owners joining and leaving mid-run: deferred Π_Setup at the join tick
     // and an abandoned cache after the leave tick must look the same through
-    // all three drivers — reports, query answers, and adversary transcripts.
+    // both drivers — reports, query answers, and adversary transcripts.
     assert_drivers_agree(churn_workloads, 300, 23, "churn");
 }
 
@@ -216,7 +216,7 @@ fn join_tick_arrivals_are_delivered_and_driver_invariant() {
     // strictly after the join tick, so a record arriving exactly when its
     // owner joined was silently dropped from both the owner's cache and the
     // ground truth.  The join tick now runs the deferred Π_Setup followed by
-    // a normal tick on every driver.
+    // a normal tick on both drivers.
     let horizon = 42u64;
     let master = MasterKey::from_bytes([0xEE; 32]);
     let workloads_for = |horizon: u64| {

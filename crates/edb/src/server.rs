@@ -250,7 +250,7 @@ impl ServerStorage {
     /// Update events are ordered by `(time, table name, per-table arrival
     /// index)` — a deterministic total order independent of how owner threads
     /// interleaved their uploads, so the privacy verifier sees the same
-    /// transcript whether the simulation ran sequentially or sharded — and,
+    /// transcript whether the owners uploaded from one thread or many — and,
     /// by the same argument, independent of which storage backend
     /// materialized the ciphertexts.
     pub fn adversary_view(&self) -> AdversaryView {

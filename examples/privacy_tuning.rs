@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example privacy_tuning`
 
 use dp_sync::core::simulation::{Simulation, SimulationConfig};
+use dp_sync::core::sparse::OwnerWorkload;
 use dp_sync::core::strategy::{CacheFlush, DpTimerStrategy};
 use dp_sync::crypto::MasterKey;
 use dp_sync::dp::Epsilon;
@@ -24,8 +25,11 @@ fn run(epsilon: f64, period: u64) -> (f64, f64, u64) {
         seed: 7,
     });
     let report = sim
-        .run(
-            &[yellow.to_workload(queries::YELLOW_TABLE)],
+        .run_sparse(
+            &[OwnerWorkload::from(
+                &yellow.to_workload(queries::YELLOW_TABLE),
+            )],
+            yellow.horizon(),
             &engine,
             &master,
             |_| {

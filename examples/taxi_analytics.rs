@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example taxi_analytics`
 
 use dp_sync::core::simulation::{Simulation, SimulationConfig};
+use dp_sync::core::sparse::OwnerWorkload;
 use dp_sync::core::strategy::{
     AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, OneTimeOutsourcing, StrategyKind,
     SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
@@ -40,9 +41,10 @@ fn main() {
         yellow.horizon()
     );
     let workloads = [
-        yellow.to_workload(queries::YELLOW_TABLE),
-        green.to_workload(queries::GREEN_TABLE),
+        OwnerWorkload::from(&yellow.to_workload(queries::YELLOW_TABLE)),
+        OwnerWorkload::from(&green.to_workload(queries::GREEN_TABLE)),
     ];
+    let horizon = yellow.horizon().max(green.horizon());
 
     println!(
         "{:<10} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}",
@@ -58,7 +60,7 @@ fn main() {
             seed: 2021,
         });
         let report = sim
-            .run(&workloads, &engine, &master, |_| build(kind))
+            .run_sparse(&workloads, horizon, &engine, &master, |_| build(kind))
             .expect("simulation succeeds");
         println!(
             "{:<10} {:>10.2} {:>10.2} {:>10.2} {:>12.3} {:>12.2} {:>10.2}",
