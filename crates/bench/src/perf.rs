@@ -597,6 +597,30 @@ fn bench_crypto_decrypt(scale: &SuiteScale, seed: u64) -> BenchResult {
     )
 }
 
+fn bench_crypto_decrypt_batch(scale: &SuiteScale, seed: u64) -> BenchResult {
+    // Same records as `crypto_decrypt`, opened through the batch path that
+    // `Π_Update` ingest runs.
+    let rows = synthetic_rows(scale.crypto_records, seed);
+    let master = MasterKey::from_bytes([0xA2; 32]);
+    let mut cryptor = RecordCryptor::new(&master);
+    let records = encrypt_batch(&mut cryptor, &rows, scale.crypto_records / 4);
+    run_bench(
+        "crypto_decrypt_batch",
+        scale.samples,
+        records.len() as u64,
+        || {
+            let started = Instant::now();
+            cryptor
+                .decrypt_batch(&records, |view| {
+                    black_box(view.expect("round trip"));
+                    Ok::<_, ()>(())
+                })
+                .expect("visitor never fails");
+            started.elapsed()
+        },
+    )
+}
+
 fn bench_dp_laplace(scale: &SuiteScale, seed: u64) -> BenchResult {
     let noise = Laplace::new(0.0, 2.0).expect("valid scale");
     run_bench("dp_laplace", scale.samples, scale.dp_draws as u64, || {
@@ -1128,6 +1152,7 @@ pub fn run_suite(config: &SuiteConfig) -> BenchReport {
     let results = vec![
         bench_crypto_encrypt(&scale, seed),
         bench_crypto_decrypt(&scale, seed),
+        bench_crypto_decrypt_batch(&scale, seed),
         bench_dp_laplace(&scale, seed),
         bench_dp_svt(&scale, seed),
         bench_pi_update_ingest(&scale, seed),
@@ -1311,6 +1336,7 @@ mod tests {
         for expected in [
             "crypto_encrypt",
             "crypto_decrypt",
+            "crypto_decrypt_batch",
             "dp_laplace",
             "dp_svt",
             "pi_update_ingest",

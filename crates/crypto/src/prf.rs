@@ -16,7 +16,10 @@
 //! block (secret-prefix keying) and the message is length-prefixed, which
 //! removes the classic extension ambiguity for variable-length inputs.
 
-use crate::chacha::{chacha20_block, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
+use crate::chacha::{
+    chacha20_lanes, lane_states, le_words, splat, transpose, write_le_words, CHACHA_KEY_LEN,
+    CHACHA_NONCE_LEN,
+};
 
 /// Output length of the PRF in bytes.
 pub const PRF_OUTPUT_LEN: usize = 32;
@@ -26,24 +29,55 @@ pub const MAC_TAG_LEN: usize = 16;
 /// Fixed domain-separation nonce for the PRF's internal compression calls.
 const PRF_DOMAIN_NONCE: [u8; CHACHA_NONCE_LEN] = *b"dpsync-prf/1";
 
-/// Davies–Meyer compression: key the ChaCha20 block function with
-/// `cv XOR block`, run it with `counter` as the position index, and feed the
-/// keying material forward into the output.
-fn compress(
-    cv: &[u8; PRF_OUTPUT_LEN],
-    block: &[u8; PRF_OUTPUT_LEN],
+/// Davies–Meyer compression of `N` independent lanes at once, word-major
+/// (`cv[w][lane]`): key the ChaCha20 block function with `cv XOR block`,
+/// run it with `counter` as the position index, and feed the keying
+/// material forward into the output.
+#[inline(always)]
+fn compress_lanes<const N: usize>(
+    cv: &[[u32; N]; 8],
+    block: &[[u32; N]; 8],
     counter: u32,
-) -> [u8; PRF_OUTPUT_LEN] {
-    let mut key = [0u8; PRF_OUTPUT_LEN];
-    for i in 0..PRF_OUTPUT_LEN {
-        key[i] = cv[i] ^ block[i];
+) -> [[u32; N]; 8] {
+    let key = xor_words(*cv, block);
+    let out = chacha20_lanes(&lane_states(
+        key,
+        counter,
+        splat(le_words(&PRF_DOMAIN_NONCE)),
+    ));
+    xor_words(key, &out[..8].try_into().expect("8 words"))
+}
+
+/// Lane-wise XOR of two word-major arrays.
+#[inline(always)]
+fn xor_words<const N: usize>(mut a: [[u32; N]; 8], b: &[[u32; N]; 8]) -> [[u32; N]; 8] {
+    for (a, b) in a.iter_mut().zip(b) {
+        for (a, b) in a.iter_mut().zip(b) {
+            *a ^= b;
+        }
     }
-    let out = chacha20_block(&key, counter, &PRF_DOMAIN_NONCE);
-    let mut next = [0u8; PRF_OUTPUT_LEN];
-    for i in 0..PRF_OUTPUT_LEN {
-        next[i] = out[i] ^ key[i];
+    a
+}
+
+/// Word `j` of the zero-padded message `len ‖ input` (the 8-byte
+/// little-endian length prefix, then the input), little-endian.  The prefix
+/// is two words long, so input word `j - 2` starts at byte `4 * (j - 2)`.
+#[inline(always)]
+fn message_word(input: &[u8], j: usize) -> u32 {
+    let len = input.len();
+    if j < 2 {
+        return ((len as u64) >> (32 * j)) as u32;
     }
-    next
+    let start = 4 * (j - 2);
+    if start + 4 <= len {
+        u32::from_le_bytes(input[start..start + 4].try_into().expect("4 bytes"))
+    } else {
+        let mut word = [0u8; 4];
+        for (byte, &input) in word.iter_mut().zip(input.get(start..).unwrap_or_default()) {
+            *byte = input;
+        }
+        u32::from_le_bytes(word)
+    }
 }
 
 /// A keyed pseudo-random function with 32-byte output.
@@ -55,8 +89,9 @@ fn compress(
 /// block evaluation.
 #[derive(Clone)]
 pub struct Prf {
-    /// Chaining value after absorbing the key (`compress(0, key, 0)`).
-    keyed_cv: [u8; PRF_OUTPUT_LEN],
+    /// Chaining value after absorbing the key (`compress(0, key, 0)`), as
+    /// little-endian words.
+    keyed_cv: [u32; 8],
 }
 
 impl std::fmt::Debug for Prf {
@@ -70,42 +105,49 @@ impl Prf {
     pub fn new(key: [u8; CHACHA_KEY_LEN]) -> Self {
         // Absorb the key as the first block (secret-prefix keying); message
         // blocks continue from this cached chaining value.
-        Self {
-            keyed_cv: compress(&[0u8; PRF_OUTPUT_LEN], &key, 0),
-        }
+        let [keyed_cv] = transpose(compress_lanes::<1>(&[[0]; 8], &splat(le_words(&key)), 0));
+        Self { keyed_cv }
     }
 
     /// Evaluates the PRF on `input`, producing 32 pseudo-random bytes.
     ///
     /// The message is the 8-byte little-endian length prefix followed by
-    /// `input`, absorbed in 32-byte blocks.  The blocks are assembled on the
-    /// stack straight from the two source slices — the eval path performs no
+    /// `input`, zero-padded and absorbed in 32-byte blocks.  The blocks are
+    /// read word by word straight from `input` — the eval path performs no
     /// heap allocation, which matters because every record encryption calls
     /// it twice (nonce derivation and MAC).
     pub fn eval(&self, input: &[u8]) -> [u8; PRF_OUTPUT_LEN] {
-        let mut cv = self.keyed_cv;
-        let prefix = (input.len() as u64).to_le_bytes();
-        let total = prefix.len() + input.len();
-        let mut offset = 0usize; // position in the virtual prefix ‖ input
-        let mut counter = 1u32;
-        while offset < total {
-            let mut block = [0u8; PRF_OUTPUT_LEN];
-            let mut filled = 0usize;
-            if offset < prefix.len() {
-                let n = (prefix.len() - offset).min(PRF_OUTPUT_LEN);
-                block[..n].copy_from_slice(&prefix[offset..offset + n]);
-                filled = n;
+        let [out] = self.eval_lanes([input]);
+        out
+    }
+
+    /// [`Prf::eval`] of `N` equal-length inputs at once, one per kernel
+    /// lane: lane `i` of the result is `self.eval(inputs[i])`.
+    #[inline(always)]
+    pub(crate) fn eval_lanes<const N: usize>(
+        &self,
+        inputs: [&[u8]; N],
+    ) -> [[u8; PRF_OUTPUT_LEN]; N] {
+        let len = inputs[0].len();
+        assert!(
+            inputs.iter().all(|input| input.len() == len),
+            "PRF lanes take equal-length inputs"
+        );
+        let mut cv = splat(self.keyed_cv);
+        for (index, first) in (0..2 + len.div_ceil(4)).step_by(8).enumerate() {
+            let mut block = [[0u32; N]; 8];
+            for (w, words) in block.iter_mut().enumerate() {
+                for (word, input) in words.iter_mut().zip(inputs) {
+                    *word = message_word(input, first + w);
+                }
             }
-            // After the prefix bytes are placed, `offset + filled` is always
-            // at least `prefix.len()`, so this index never underflows.
-            let input_start = (offset + filled) - prefix.len();
-            let n = (PRF_OUTPUT_LEN - filled).min(input.len() - input_start);
-            block[filled..filled + n].copy_from_slice(&input[input_start..input_start + n]);
-            cv = compress(&cv, &block, counter);
-            counter = counter.wrapping_add(1);
-            offset += filled + n;
+            cv = compress_lanes(&cv, &block, (index as u32).wrapping_add(1));
         }
-        cv
+        transpose(cv).map(|words| {
+            let mut out = [0u8; PRF_OUTPUT_LEN];
+            write_le_words(&mut out, words);
+            out
+        })
     }
 
     /// Evaluates the PRF on a 64-bit integer (a record sequence number).
@@ -115,10 +157,18 @@ impl Prf {
 
     /// Derives a 12-byte nonce from a record sequence number.
     pub fn derive_nonce(&self, sequence: u64) -> [u8; CHACHA_NONCE_LEN] {
-        let full = self.eval_u64(sequence);
-        let mut nonce = [0u8; CHACHA_NONCE_LEN];
-        nonce.copy_from_slice(&full[..CHACHA_NONCE_LEN]);
+        let [nonce] = self.derive_nonces(sequence);
         nonce
+    }
+
+    /// [`Prf::derive_nonce`] for the `N` sequence numbers `first..first + N`
+    /// (wrapping), one per kernel lane.
+    #[inline(always)]
+    pub(crate) fn derive_nonces<const N: usize>(&self, first: u64) -> [[u8; CHACHA_NONCE_LEN]; N] {
+        let sequences: [[u8; 8]; N] =
+            std::array::from_fn(|lane| first.wrapping_add(lane as u64).to_le_bytes());
+        let full = self.eval_lanes(sequences.each_ref().map(|bytes| bytes.as_slice()));
+        full.map(|out| out[..CHACHA_NONCE_LEN].try_into().expect("12 bytes"))
     }
 
     /// Derives a 32-byte sub-key from a domain-separation label.
@@ -147,22 +197,33 @@ impl Mac {
 
     /// Computes the tag for `message`.
     pub fn tag(&self, message: &[u8]) -> [u8; MAC_TAG_LEN] {
-        let full = self.prf.eval(message);
-        let mut tag = [0u8; MAC_TAG_LEN];
-        tag.copy_from_slice(&full[..MAC_TAG_LEN]);
+        let [tag] = self.tags([message]);
         tag
+    }
+
+    /// [`Mac::tag`] of `N` equal-length messages at once, one per kernel
+    /// lane.
+    #[inline(always)]
+    pub(crate) fn tags<const N: usize>(&self, messages: [&[u8]; N]) -> [[u8; MAC_TAG_LEN]; N] {
+        self.prf
+            .eval_lanes(messages)
+            .map(|full| full[..MAC_TAG_LEN].try_into().expect("16 bytes"))
     }
 
     /// Verifies `tag` against `message` in constant time with respect to the
     /// tag contents.
     pub fn verify(&self, message: &[u8], tag: &[u8; MAC_TAG_LEN]) -> bool {
-        let expected = self.tag(message);
-        let mut diff = 0u8;
-        for (a, b) in expected.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        diff == 0
+        tags_equal(&self.tag(message), tag)
     }
+}
+
+/// Compares two tags in constant time with respect to their contents.
+pub(crate) fn tags_equal(a: &[u8; MAC_TAG_LEN], b: &[u8; MAC_TAG_LEN]) -> bool {
+    let mut diff = 0u8;
+    for (x, y) in a.iter().zip(b) {
+        diff |= x ^ y;
+    }
+    diff == 0
 }
 
 #[cfg(test)]
@@ -202,6 +263,22 @@ mod tests {
         // Length prefixing: a message equal to another message plus trailing
         // zeros must not collide.
         assert_ne!(prf.eval(&[0u8; 47]), prf.eval(&[0u8; 48]));
+    }
+
+    /// One-lane Davies–Meyer compression over byte strings.
+    fn compress(
+        cv: &[u8; PRF_OUTPUT_LEN],
+        block: &[u8; PRF_OUTPUT_LEN],
+        counter: u32,
+    ) -> [u8; PRF_OUTPUT_LEN] {
+        let [words] = transpose(compress_lanes::<1>(
+            &splat(le_words(cv)),
+            &splat(le_words(block)),
+            counter,
+        ));
+        let mut out = [0u8; PRF_OUTPUT_LEN];
+        write_le_words(&mut out, words);
+        out
     }
 
     #[test]

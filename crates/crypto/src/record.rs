@@ -14,11 +14,14 @@
 //! ones, nor short payloads from long ones — the property the paper's dummy
 //! mechanism relies on (§3.2.2).
 
-use crate::chacha::{ChaCha20, CHACHA_NONCE_LEN};
+use crate::chacha::{
+    le_words, transpose, write_le_words, ChaCha20, CHACHA_BLOCK_LEN, CHACHA_NONCE_LEN, LANES,
+};
 use crate::keys::{KeyPurpose, MasterKey};
-use crate::prf::{Mac, Prf, MAC_TAG_LEN};
+use crate::prf::{tags_equal, Mac, Prf, MAC_TAG_LEN};
 use crate::CryptoError;
 use bytes::Bytes;
+use std::ops::Range;
 
 /// Maximum serialized payload length of one record, in bytes.
 ///
@@ -30,6 +33,35 @@ pub const RECORD_PAYLOAD_LEN: usize = 64;
 
 /// Length of the plaintext body: 1 flag byte + 2 length bytes + padded payload.
 const BODY_LEN: usize = 1 + 2 + RECORD_PAYLOAD_LEN;
+
+/// Where each part sits in a serialized [`EncryptedRecord`].  The MAC covers
+/// `nonce ‖ body`, the bytes before the tag.
+const NONCE: Range<usize> = 0..CHACHA_NONCE_LEN;
+const BODY: Range<usize> = CHACHA_NONCE_LEN..CHACHA_NONCE_LEN + BODY_LEN;
+const TAG: Range<usize> = BODY.end..BODY.end + MAC_TAG_LEN;
+
+/// The smallest group of records worth a [`LANES`]-wide kernel call.  One
+/// four-lane call costs about two one-lane calls, so one or two records
+/// take one-lane calls instead of computing lanes that are thrown away.
+const MIN_LANE_GROUP: usize = 3;
+
+/// ChaCha20 blocks of keystream one body takes.
+const KEYSTREAM_BLOCKS: usize = BODY_LEN.div_ceil(CHACHA_BLOCK_LEN);
+
+/// Validates `payload` and lays it out as a padded body.
+fn padded_body(is_dummy: bool, payload: &[u8]) -> Result<[u8; BODY_LEN], CryptoError> {
+    if payload.len() > RECORD_PAYLOAD_LEN {
+        return Err(CryptoError::PayloadTooLarge {
+            got: payload.len(),
+            max: RECORD_PAYLOAD_LEN,
+        });
+    }
+    let mut body = [0u8; BODY_LEN];
+    body[0] = u8::from(is_dummy);
+    body[1..3].copy_from_slice(&(payload.len() as u16).to_le_bytes());
+    body[3..3 + payload.len()].copy_from_slice(payload);
+    Ok(body)
+}
 
 /// A plaintext record as seen by the owner before encryption.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,17 +90,7 @@ impl RecordPlaintext {
     }
 
     fn to_body(&self) -> Result<[u8; BODY_LEN], CryptoError> {
-        if self.payload.len() > RECORD_PAYLOAD_LEN {
-            return Err(CryptoError::PayloadTooLarge {
-                got: self.payload.len(),
-                max: RECORD_PAYLOAD_LEN,
-            });
-        }
-        let mut body = [0u8; BODY_LEN];
-        body[0] = u8::from(self.is_dummy);
-        body[1..3].copy_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        body[3..3 + self.payload.len()].copy_from_slice(&self.payload);
-        Ok(body)
+        padded_body(self.is_dummy, &self.payload)
     }
 }
 
@@ -143,54 +165,87 @@ impl PlaintextView {
 /// Ciphertext bytes of one encrypted record, suitable for storage/transfer.
 pub type CiphertextBytes = Bytes;
 
-/// One encrypted record.
+/// One encrypted record, held in its serialized form
+/// (nonce ‖ encrypted body ‖ tag).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptedRecord {
-    nonce: [u8; CHACHA_NONCE_LEN],
-    body: [u8; BODY_LEN],
-    tag: [u8; MAC_TAG_LEN],
+    bytes: [u8; Self::TOTAL_LEN],
 }
 
 impl EncryptedRecord {
     /// Total serialized length of every encrypted record, in bytes.
-    pub const TOTAL_LEN: usize = CHACHA_NONCE_LEN + BODY_LEN + MAC_TAG_LEN;
+    pub const TOTAL_LEN: usize = TAG.end;
+
+    /// A record carrying the plaintext `body`, with nonce and tag still
+    /// zero: [`RecordCryptor`] seals it in place.
+    fn unsealed(body: &[u8; BODY_LEN]) -> Self {
+        let mut bytes = [0u8; Self::TOTAL_LEN];
+        bytes[BODY].copy_from_slice(body);
+        Self { bytes }
+    }
+
+    /// Appends the serialized record (nonce ‖ encrypted body ‖ tag) to `out`.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.bytes);
+    }
 
     /// Serializes the record to bytes (nonce ‖ encrypted body ‖ tag).
     pub fn to_bytes(&self) -> CiphertextBytes {
         let mut out = Vec::with_capacity(Self::TOTAL_LEN);
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(&self.body);
-        out.extend_from_slice(&self.tag);
+        self.append_to(&mut out);
         Bytes::from(out)
     }
 
     /// Parses an encrypted record from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
-        if bytes.len() != Self::TOTAL_LEN {
-            return Err(CryptoError::MalformedCiphertext {
+        let bytes = bytes
+            .try_into()
+            .map_err(|_| CryptoError::MalformedCiphertext {
                 got: bytes.len(),
                 expected: Self::TOTAL_LEN,
-            });
-        }
-        let mut nonce = [0u8; CHACHA_NONCE_LEN];
-        nonce.copy_from_slice(&bytes[..CHACHA_NONCE_LEN]);
-        let mut body = [0u8; BODY_LEN];
-        body.copy_from_slice(&bytes[CHACHA_NONCE_LEN..CHACHA_NONCE_LEN + BODY_LEN]);
-        let mut tag = [0u8; MAC_TAG_LEN];
-        tag.copy_from_slice(&bytes[CHACHA_NONCE_LEN + BODY_LEN..]);
-        Ok(Self { nonce, body, tag })
+            })?;
+        Ok(Self { bytes })
     }
 
     /// The per-record nonce (public).
     pub fn nonce(&self) -> &[u8; CHACHA_NONCE_LEN] {
-        &self.nonce
+        self.bytes[NONCE].try_into().expect("nonce range")
     }
+
+    fn body(&self) -> &[u8; BODY_LEN] {
+        self.bytes[BODY].try_into().expect("body range")
+    }
+
+    fn tag(&self) -> &[u8; MAC_TAG_LEN] {
+        self.bytes[TAG].try_into().expect("tag range")
+    }
+
+    /// The MAC input: `nonce ‖ body`.
+    fn authenticated(&self) -> &[u8] {
+        &self.bytes[..TAG.start]
+    }
+}
+
+/// One record per kernel lane: record `i` in lane `i`, and lanes past the
+/// end repeating the last record (their results are computed and dropped).
+fn lanes<'a, T: ?Sized, const N: usize>(
+    records: &'a [EncryptedRecord],
+    part: impl Fn(&'a EncryptedRecord) -> &'a T,
+) -> [&'a T; N] {
+    std::array::from_fn(|lane| part(&records[lane.min(records.len() - 1)]))
 }
 
 /// Encrypts and decrypts records under keys derived from one master key.
 ///
 /// The cryptor tracks a monotone sequence number used to derive a unique
 /// nonce per encryption, so the caller never has to manage nonces.
+///
+/// Seal and open each have one implementation, generic over the number of
+/// records it handles at once: batches run four records per call of the
+/// lane-parallel ChaCha20 kernel, and single records (and a batch's last one
+/// or two) one-lane calls of the same code.  Every record is still its
+/// own encryption under its own sequence-derived nonce, so the ciphertexts
+/// do not depend on how records are grouped.
 #[derive(Debug, Clone)]
 pub struct RecordCryptor {
     cipher: ChaCha20,
@@ -225,39 +280,77 @@ impl RecordCryptor {
         self.next_sequence
     }
 
+    /// XORs each record's keystream (block counter 0 onwards, under the
+    /// record's own nonce) into its body; `records.len() <= N`.
+    #[inline(always)]
+    fn apply_keystream<const N: usize>(&self, records: &mut [EncryptedRecord]) {
+        let nonces = transpose(lanes::<_, N>(records, EncryptedRecord::nonce).map(|n| le_words(n)));
+        let mut keystream = [[0u8; KEYSTREAM_BLOCKS * CHACHA_BLOCK_LEN]; N];
+        for counter in 0..KEYSTREAM_BLOCKS {
+            let block = self.cipher.keystream_lanes::<N>(counter as u32, nonces);
+            for (lane, keystream) in keystream.iter_mut().enumerate() {
+                write_le_words(
+                    &mut keystream[counter * CHACHA_BLOCK_LEN..][..CHACHA_BLOCK_LEN],
+                    block.iter().map(|words| words[lane]),
+                );
+            }
+        }
+        for (record, keystream) in records.iter_mut().zip(&keystream) {
+            for (byte, key) in record.bytes[BODY].iter_mut().zip(keystream) {
+                *byte ^= key;
+            }
+        }
+    }
+
+    /// Seals `records` (`1..=N` of them, bodies in place) in three kernel
+    /// passes: nonces from the next sequence numbers, the keystream, and
+    /// the tags over `nonce ‖ encrypted body`.
+    #[inline(always)]
+    fn seal_lanes<const N: usize>(&mut self, records: &mut [EncryptedRecord]) {
+        debug_assert!((1..=N).contains(&records.len()));
+        let nonces = self.nonce_prf.derive_nonces::<N>(self.next_sequence);
+        self.next_sequence += records.len() as u64;
+        for (record, nonce) in records.iter_mut().zip(&nonces) {
+            record.bytes[NONCE].copy_from_slice(nonce);
+        }
+        self.apply_keystream::<N>(records);
+        let tags = self
+            .mac
+            .tags::<N>(lanes(records, EncryptedRecord::authenticated));
+        for (record, tag) in records.iter_mut().zip(&tags) {
+            record.bytes[TAG].copy_from_slice(tag);
+        }
+    }
+
+    /// Seals `records` lane group by lane group.
+    fn seal(&mut self, records: &mut [EncryptedRecord]) {
+        for group in records.chunks_mut(LANES) {
+            if group.len() >= MIN_LANE_GROUP {
+                self.seal_lanes::<LANES>(group);
+            } else {
+                for record in group {
+                    self.seal_lanes::<1>(std::slice::from_mut(record));
+                }
+            }
+        }
+    }
+
     /// Seals an already-padded body: fresh nonce, encrypt, authenticate.
-    ///
-    /// The MAC input lives on the stack — this is the per-record inner loop
-    /// of every upload and must not heap-allocate.
-    fn seal_body(&mut self, mut body: [u8; BODY_LEN]) -> EncryptedRecord {
-        let nonce = self.nonce_prf.derive_nonce(self.next_sequence);
-        self.next_sequence += 1;
-        self.cipher.apply(nonce, 0, &mut body);
-        let mut mac_input = [0u8; CHACHA_NONCE_LEN + BODY_LEN];
-        mac_input[..CHACHA_NONCE_LEN].copy_from_slice(&nonce);
-        mac_input[CHACHA_NONCE_LEN..].copy_from_slice(&body);
-        let tag = self.mac.tag(&mac_input);
-        EncryptedRecord { nonce, body, tag }
+    fn seal_body(&mut self, body: &[u8; BODY_LEN]) -> EncryptedRecord {
+        let mut record = EncryptedRecord::unsealed(body);
+        self.seal_lanes::<1>(std::slice::from_mut(&mut record));
+        record
     }
 
     /// Encrypts a plaintext record into a fixed-size ciphertext.
     pub fn encrypt(&mut self, record: &RecordPlaintext) -> Result<EncryptedRecord, CryptoError> {
-        Ok(self.seal_body(record.to_body()?))
+        Ok(self.seal_body(&record.to_body()?))
     }
 
     /// Encrypts a real record directly from its payload bytes, skipping the
     /// intermediate [`RecordPlaintext`] (and its owned `Vec`).
     pub fn encrypt_payload(&mut self, payload: &[u8]) -> Result<EncryptedRecord, CryptoError> {
-        if payload.len() > RECORD_PAYLOAD_LEN {
-            return Err(CryptoError::PayloadTooLarge {
-                got: payload.len(),
-                max: RECORD_PAYLOAD_LEN,
-            });
-        }
-        let mut body = [0u8; BODY_LEN];
-        body[1..3].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        body[3..3 + payload.len()].copy_from_slice(payload);
-        Ok(self.seal_body(body))
+        Ok(self.seal_body(&padded_body(false, payload)?))
     }
 
     /// Encrypts a prepared plaintext.  Infallible (the body was validated at
@@ -265,7 +358,7 @@ impl RecordCryptor {
     /// are derived per invocation, so encrypting the same prepared plaintext
     /// twice never yields related ciphertexts.
     pub fn encrypt_prepared(&mut self, prepared: &PreparedPlaintext) -> EncryptedRecord {
-        self.seal_body(prepared.body)
+        self.seal_body(&prepared.body)
     }
 
     /// Encrypts a dummy record.
@@ -274,14 +367,17 @@ impl RecordCryptor {
     }
 
     /// Encrypts a batch of real records followed by `dummies` dummy records
-    /// into `out`, amortizing per-record setup across the whole batch.
+    /// into `out`, byte-identical to encrypting them one by one.
     ///
     /// `encode` serializes one item into the scratch buffer it is handed
     /// (already cleared); the same buffer is reused for every item, so the
-    /// batch performs no per-record payload allocation.  The dummies ride
-    /// the prepared fast path — each one still a fresh encryption.  `out` is
-    /// not cleared, so a caller draining a queue can reuse one output buffer
-    /// across batches.
+    /// batch performs no per-record payload allocation.  Records are laid
+    /// out in `out` as padded bodies and sealed there in place, four at a
+    /// time, so the batch needs no buffer beyond `out` itself.  Each dummy
+    /// is still a fresh encryption.  `out` is not cleared, so a caller
+    /// draining a queue can reuse one output buffer across batches.  An item
+    /// too large for a record stops the batch with the records before it
+    /// sealed and appended.
     pub fn encrypt_batch_into<T>(
         &mut self,
         items: &[T],
@@ -291,16 +387,57 @@ impl RecordCryptor {
     ) -> Result<(), CryptoError> {
         out.reserve(items.len() + dummies);
         let mut payload = Vec::with_capacity(RECORD_PAYLOAD_LEN);
-        for item in items {
-            payload.clear();
-            encode(item, &mut payload);
-            out.push(self.encrypt_payload(&payload)?);
+        let bodies = items
+            .iter()
+            .map(|item| {
+                payload.clear();
+                encode(item, &mut payload);
+                padded_body(false, &payload)
+            })
+            .chain(std::iter::repeat_n(
+                Ok(PreparedPlaintext::dummy().body),
+                dummies,
+            ));
+        let mut sealed = out.len();
+        for body in bodies {
+            match body {
+                Ok(body) => out.push(EncryptedRecord::unsealed(&body)),
+                Err(error) => {
+                    self.seal(&mut out[sealed..]);
+                    return Err(error);
+                }
+            }
+            if out.len() - sealed == LANES {
+                self.seal_lanes::<LANES>(&mut out[sealed..]);
+                sealed = out.len();
+            }
         }
-        let dummy = PreparedPlaintext::dummy();
-        for _ in 0..dummies {
-            out.push(self.encrypt_prepared(&dummy));
-        }
+        self.seal(&mut out[sealed..]);
         Ok(())
+    }
+
+    /// Authenticates and decrypts `records` (`1..=N` of them), one result
+    /// per lane.  Every tag is recomputed and compared in constant time; a
+    /// lane releases its body only if its own tag verifies.
+    #[inline(always)]
+    fn open_lanes<const N: usize>(
+        &self,
+        records: &[EncryptedRecord],
+    ) -> [Result<PlaintextView, CryptoError>; N] {
+        let tags = self
+            .mac
+            .tags::<N>(lanes(records, EncryptedRecord::authenticated));
+        let mut opened = lanes::<_, N>(records, |record| record).map(Clone::clone);
+        self.apply_keystream::<N>(&mut opened);
+        std::array::from_fn(|lane| {
+            if tags_equal(&tags[lane], opened[lane].tag()) {
+                Ok(PlaintextView {
+                    body: *opened[lane].body(),
+                })
+            } else {
+                Err(CryptoError::AuthenticationFailed)
+            }
+        })
     }
 
     /// Decrypts and authenticates an encrypted record.
@@ -309,23 +446,48 @@ impl RecordCryptor {
     }
 
     /// Decrypts and authenticates a record, returning a zero-copy view of
-    /// the padded body (the `Π_Update` ingest hot path).
+    /// the padded body.
     pub fn decrypt_view(&self, record: &EncryptedRecord) -> Result<PlaintextView, CryptoError> {
-        let mut mac_input = [0u8; CHACHA_NONCE_LEN + BODY_LEN];
-        mac_input[..CHACHA_NONCE_LEN].copy_from_slice(&record.nonce);
-        mac_input[CHACHA_NONCE_LEN..].copy_from_slice(&record.body);
-        if !self.mac.verify(&mac_input, &record.tag) {
-            return Err(CryptoError::AuthenticationFailed);
+        let [opened] = self.open_lanes::<1>(std::slice::from_ref(record));
+        opened
+    }
+
+    /// Decrypts and authenticates a batch, four records at a time (the
+    /// `Π_Update` ingest hot path).
+    ///
+    /// `visit` sees one result per record, in batch order: the record's
+    /// view, or [`CryptoError::AuthenticationFailed`] if its own tag does
+    /// not verify.  The first error `visit` returns stops the batch and is
+    /// returned.  Each result equals [`RecordCryptor::decrypt_view`] of the
+    /// same record.
+    pub fn decrypt_batch<E>(
+        &self,
+        records: &[EncryptedRecord],
+        mut visit: impl FnMut(Result<PlaintextView, CryptoError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for group in records.chunks(LANES) {
+            if group.len() >= MIN_LANE_GROUP {
+                for opened in self
+                    .open_lanes::<LANES>(group)
+                    .into_iter()
+                    .take(group.len())
+                {
+                    visit(opened)?;
+                }
+            } else {
+                for record in group {
+                    visit(self.decrypt_view(record))?;
+                }
+            }
         }
-        let mut body = record.body;
-        self.cipher.apply(record.nonce, 0, &mut body);
-        Ok(PlaintextView { body })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cryptor() -> RecordCryptor {
         RecordCryptor::new(&MasterKey::from_bytes([3u8; 32]))
@@ -586,5 +748,133 @@ mod tests {
         let mut b = RecordCryptor::with_sequence(&master, 500);
         let ct2 = b.encrypt(&RecordPlaintext::real(vec![2])).unwrap();
         assert_eq!(ct.nonce(), ct2.nonce());
+    }
+
+    /// Seals one record from today's public primitives, independently of
+    /// the lane code: `derive_nonce`, `ChaCha20::apply` and `Mac::tag` over
+    /// `nonce ‖ body`.  Reference implementation the batch tests compare
+    /// against.
+    fn reference_seal(
+        master: &MasterKey,
+        sequence: u64,
+        is_dummy: bool,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let nonce =
+            Prf::new(*master.derive(KeyPurpose::NonceDerivation).bytes()).derive_nonce(sequence);
+        let mut body = vec![u8::from(is_dummy)];
+        body.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+        body.extend_from_slice(payload);
+        body.resize(BODY_LEN, 0);
+        ChaCha20::new(*master.derive(KeyPurpose::RecordEncryption).bytes())
+            .apply(nonce, 0, &mut body);
+        let mut sealed = nonce.to_vec();
+        sealed.extend_from_slice(&body);
+        let tag = Mac::new(*master.derive(KeyPurpose::RecordAuthentication).bytes()).tag(&sealed);
+        sealed.extend_from_slice(&tag);
+        sealed
+    }
+
+    /// Opens one serialized record with the same public primitives.
+    fn reference_open(master: &MasterKey, bytes: &[u8]) -> Result<(bool, Vec<u8>), CryptoError> {
+        let (sealed, tag) = bytes.split_at(CHACHA_NONCE_LEN + BODY_LEN);
+        let mac = Mac::new(*master.derive(KeyPurpose::RecordAuthentication).bytes());
+        if !mac.verify(sealed, tag.try_into().expect("16-byte tag")) {
+            return Err(CryptoError::AuthenticationFailed);
+        }
+        let (nonce, body) = sealed.split_at(CHACHA_NONCE_LEN);
+        let mut body = body.to_vec();
+        ChaCha20::new(*master.derive(KeyPurpose::RecordEncryption).bytes()).apply(
+            nonce.try_into().expect("12-byte nonce"),
+            0,
+            &mut body,
+        );
+        let len = usize::from(u16::from_le_bytes([body[1], body[2]]));
+        Ok((body[0] != 0, body[3..3 + len].to_vec()))
+    }
+
+    fn open_all(
+        cryptor: &RecordCryptor,
+        records: &[EncryptedRecord],
+    ) -> Vec<Result<PlaintextView, CryptoError>> {
+        let mut opened = Vec::new();
+        cryptor
+            .decrypt_batch(records, |result| {
+                opened.push(result);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+        opened
+    }
+
+    fn view_parts(view: &PlaintextView) -> (bool, Vec<u8>) {
+        (view.is_dummy(), view.payload().to_vec())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The lane-parallel seal and open are byte-identical to the
+        /// one-record reference for every batch size up to three lane groups
+        /// and a remainder, with real records and dummies mixed, payloads of
+        /// 0..=64 bytes, and sequences around the 2^32 boundary (the nonce
+        /// PRF splits the sequence across two words) and at 2^40.  Flipping
+        /// one byte of one record fails that record and only that record.
+        #[test]
+        fn batch_seal_and_open_match_the_one_record_reference(
+            key in any::<[u8; 32]>(),
+            start in (0u64..16).prop_map(|k| if k < 8 { (1u64 << 32) - 8 + k } else { (1u64 << 40) + k }),
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..=RECORD_PAYLOAD_LEN), 3 * LANES + 1),
+            dummy_seed in 0usize..LANES,
+            tamper in (0usize..1 << 16, 0usize..EncryptedRecord::TOTAL_LEN),
+        ) {
+            let master = MasterKey::from_bytes(key);
+            for reals in 0..=payloads.len() {
+                let dummies = (reals + dummy_seed) % LANES;
+                let mut cryptor = RecordCryptor::with_sequence(&master, start);
+                let mut sealed = Vec::new();
+                cryptor
+                    .encrypt_batch_into(&payloads[..reals], |p, buf| buf.extend_from_slice(p), dummies, &mut sealed)
+                    .unwrap();
+                let total = reals + dummies;
+                prop_assert_eq!(sealed.len(), total);
+                prop_assert_eq!(cryptor.next_sequence(), start + total as u64);
+                let expected: Vec<(bool, Vec<u8>)> = (0..total)
+                    .map(|i| if i < reals { (false, payloads[i].clone()) } else { (true, Vec::new()) })
+                    .collect();
+                for (i, (record, (is_dummy, payload))) in sealed.iter().zip(&expected).enumerate() {
+                    let reference = reference_seal(&master, start + i as u64, *is_dummy, payload);
+                    prop_assert_eq!(&record.to_bytes()[..], &reference[..], "record {} of {}", i, total);
+                }
+
+                let opened = open_all(&cryptor, &sealed);
+                prop_assert_eq!(opened.len(), total);
+                for ((result, record), parts) in opened.iter().zip(&sealed).zip(&expected) {
+                    let view = result.as_ref().expect("authentic record opens");
+                    let single = cryptor.decrypt_view(record).expect("authentic record opens");
+                    prop_assert_eq!(view_parts(view), view_parts(&single));
+                    prop_assert_eq!(&view_parts(view), parts);
+                    prop_assert_eq!(reference_open(&master, &record.to_bytes()).as_ref(), Ok(parts));
+                }
+
+                if total > 0 {
+                    let (victim, byte) = (tamper.0 % total, tamper.1);
+                    let mut tampered = sealed.clone();
+                    tampered[victim].bytes[byte] ^= 0x01;
+                    let opened = open_all(&cryptor, &tampered);
+                    for (i, result) in opened.iter().enumerate() {
+                        if i == victim {
+                            prop_assert_eq!(result.as_ref().err(), Some(&CryptoError::AuthenticationFailed));
+                            prop_assert_eq!(
+                                reference_open(&master, &tampered[i].to_bytes()),
+                                Err(CryptoError::AuthenticationFailed)
+                            );
+                        } else {
+                            prop_assert_eq!(result.as_ref().map(view_parts).ok(), Some(expected[i].clone()));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

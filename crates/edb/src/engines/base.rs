@@ -33,6 +33,7 @@ use crate::schema::{Schema, Value};
 use crate::server::ServerStorage;
 use crate::sogdb::{EdbError, TableStats};
 use crate::views::{MaterializedView, ViewDef};
+use bytes::Bytes;
 use dpsync_crypto::{EncryptedRecord, KeyPurpose, MasterKey, Prf, RecordCryptor};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -212,22 +213,35 @@ impl EngineCore {
         // — no per-record value construction.  (The *ciphertexts* arriving
         // here are still unique: freshness is enforced at encryption time,
         // see `dpsync_crypto::PreparedPlaintext`.)
+        // The batch open visits records in order, so the first failure in
+        // batch order — authentication or decoding — is the one reported.
         let mut decoded: Vec<Option<Row>> = Vec::with_capacity(records.len());
-        for record in &records {
-            let view = self.cryptor.decrypt_view(record)?;
-            if view.is_dummy() {
-                decoded.push(None);
+        self.cryptor.decrypt_batch(&records, |opened| {
+            let view = opened?;
+            decoded.push(if view.is_dummy() {
+                None
             } else {
-                let row = Row::from_bytes(view.payload())
-                    .map_err(|e| EdbError::CorruptRow(e.to_string()))?;
-                decoded.push(Some(row));
-            }
-        }
+                Some(
+                    Row::from_bytes(view.payload())
+                        .map_err(|e| EdbError::CorruptRow(e.to_string()))?,
+                )
+            });
+            Ok::<_, EdbError>(())
+        })?;
 
         // Then the server stores (and observes) the ciphertexts; a backend
         // I/O failure still aborts before the mirror is touched, so an
-        // unacknowledged batch is visible nowhere.
-        let ciphertexts: Vec<_> = records.iter().map(EncryptedRecord::to_bytes).collect();
+        // unacknowledged batch is visible nowhere.  The batch is serialized
+        // into one buffer and stored as slices of it.
+        let mut serialized = Vec::with_capacity(records.len() * EncryptedRecord::TOTAL_LEN);
+        for record in &records {
+            record.append_to(&mut serialized);
+        }
+        let serialized = Bytes::from(serialized);
+        let ciphertexts: Vec<Bytes> = (0..serialized.len())
+            .step_by(EncryptedRecord::TOTAL_LEN)
+            .map(|start| serialized.slice(start..start + EncryptedRecord::TOTAL_LEN))
+            .collect();
         self.storage.ingest(table, time, &ciphertexts)?;
 
         // Mirror append + incremental view and index maintenance, under one
@@ -654,6 +668,7 @@ mod tests {
     use super::*;
     use crate::query::{paper_queries, Predicate};
     use crate::schema::DataType;
+    use dpsync_crypto::CryptoError;
     use std::thread;
 
     fn schema() -> Schema {
@@ -760,6 +775,96 @@ mod tests {
         assert_eq!(answer, QueryAnswer::Scalar(2.0));
         // The transcript still reflects the padded volumes on both sides.
         assert_eq!(touched, (3 + 4) + (2 + 9));
+    }
+
+    /// Records in the rejection tests' batch: two full four-lane groups of
+    /// the crypto kernel plus a remainder of three.
+    const MIXED_BATCH: usize = 2 * 4 + 3;
+
+    /// A mixed batch of `MIXED_BATCH` records: seven real rows, four dummies.
+    fn mixed_batch(cryptor: &mut RecordCryptor) -> Vec<EncryptedRecord> {
+        let rows: Vec<Row> = (0..7).map(|i| row(10 + i, i as i64)).collect();
+        let batch = encrypt_batch(cryptor, &rows, MIXED_BATCH - rows.len());
+        assert_eq!(batch.len(), MIXED_BATCH);
+        batch
+    }
+
+    fn with_tampered_tag(record: &EncryptedRecord) -> EncryptedRecord {
+        let mut bytes = record.to_bytes().to_vec();
+        *bytes.last_mut().expect("non-empty record") ^= 0x80;
+        EncryptedRecord::from_bytes(&bytes).expect("same length")
+    }
+
+    /// Everything a rejected batch must leave untouched: the table's stored
+    /// and mirrored counts, the adversary view, and the mirror rows.
+    fn observable_state(core: &EngineCore) -> (TableStats, crate::view::AdversaryView, Vec<Row>) {
+        let rows = core
+            .table_handle("yellow")
+            .expect("set up")
+            .read()
+            .rows
+            .clone();
+        (
+            core.table_stats("yellow"),
+            core.storage().adversary_view(),
+            rows,
+        )
+    }
+
+    #[test]
+    fn ingest_rejects_a_batch_with_any_tampered_tag() {
+        for position in [0, 3, 4, MIXED_BATCH - 1] {
+            let (core, mut cryptor) = core_with_data();
+            let before = observable_state(&core);
+            let mut batch = mixed_batch(&mut cryptor);
+            batch[position] = with_tampered_tag(&batch[position]);
+            let result = core.ingest("yellow", 30, batch);
+            assert!(
+                matches!(
+                    result,
+                    Err(EdbError::Crypto(CryptoError::AuthenticationFailed))
+                ),
+                "position {position}: {result:?}"
+            );
+            assert_eq!(observable_state(&core), before, "position {position}");
+        }
+    }
+
+    #[test]
+    fn ingest_reports_the_first_failure_in_batch_order() {
+        // A record with a valid tag whose payload is no row, and a record
+        // whose tag fails, at positions in one lane group and across groups:
+        // whichever comes first in the batch is the error reported.
+        for (first, second) in [(1, 2), (2, 9), (5, 6)] {
+            for corrupt_first in [true, false] {
+                let (core, mut cryptor) = core_with_data();
+                let before = observable_state(&core);
+                let mut batch = mixed_batch(&mut cryptor);
+                let (corrupt, tampered) = if corrupt_first {
+                    (first, second)
+                } else {
+                    (second, first)
+                };
+                batch[corrupt] = cryptor.encrypt_payload(&[0xFF; 3]).expect("fits");
+                batch[tampered] = with_tampered_tag(&batch[tampered]);
+                let result = core.ingest("yellow", 30, batch);
+                if corrupt_first {
+                    assert!(
+                        matches!(result, Err(EdbError::CorruptRow(_))),
+                        "{first}/{second}: {result:?}"
+                    );
+                } else {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(EdbError::Crypto(CryptoError::AuthenticationFailed))
+                        ),
+                        "{first}/{second}: {result:?}"
+                    );
+                }
+                assert_eq!(observable_state(&core), before);
+            }
+        }
     }
 
     #[test]

@@ -690,7 +690,7 @@ fn get_answer(c: &mut Cursor<'_>) -> Result<QueryAnswer, WireError> {
 fn put_records(out: &mut Vec<u8>, records: &[EncryptedRecord]) {
     put_u32(out, records.len() as u32);
     for record in records {
-        out.extend_from_slice(&record.to_bytes());
+        record.append_to(out);
     }
 }
 
